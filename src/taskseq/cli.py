@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 
-from .cgraph import brute_force_selection, build_layered_graph, shortest_selection
+from .cgraph import brute_force_selection
 from .metrics import MetricKind, MetricParams
 from .model import GuardError, RobotModel, Task, TaskTarget, generate_random_task, validate_task
 from .pipeline import (
@@ -57,7 +57,10 @@ def parse_step_size(text: str) -> float:
     if token == "pi":
         return math.pi
     if token.startswith("pi/"):
-        return math.pi / float(token[3:])
+        divisor = float(token[3:])
+        if divisor == 0.0:
+            raise ValueError(f"step size {text!r} divides by zero")
+        return math.pi / divisor
     return float(token)
 
 
@@ -246,9 +249,8 @@ def cmd_oracle(args) -> int:
         params = MetricParams.from_robot(task.robot)
         ik_sets = resolve_ik_sets(task, config.step_size)
         result = solve_sequence(task, config)
+        search = result.selection
         ordered = [ik_sets[t] for t in result.order.order]
-        graph = build_layered_graph(task.home, ordered, config.metric, params)
-        search = shortest_selection(graph)
         oracle = brute_force_selection(task.home, ordered, config.metric, params)
         exact_cost, oracle_cost = search.total_cost, oracle.total_cost
         match = exact_cost == oracle_cost and search.chosen == oracle.chosen

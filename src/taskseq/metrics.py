@@ -12,7 +12,6 @@ interpolation duration is its obstacle-free surrogate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,25 +64,59 @@ def _deltas(q: Configuration, q_to: Configuration) -> np.ndarray:
     return b - a
 
 
+def _per_joint(name: str, values, dof: int) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.size != dof:
+        raise ValueError(f"{name} length mismatch: {values.size} vs {dof}")
+    return values
+
+
+# One kernel per formula. Each prices every difference vector along the last
+# axis of ``diff``, so one pair, a graph block and a whole schedule run the
+# same arithmetic and get the same bits.
+
+
+def _weighted_euclidean_kernel(diff: np.ndarray, weights) -> np.ndarray:
+    return np.sqrt(np.sum(weights * diff * diff, axis=-1))
+
+
+def _max_joint_difference_kernel(diff: np.ndarray, vel_max) -> np.ndarray:
+    return np.max(np.abs(diff) / vel_max, axis=-1)
+
+
+def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
+    return np.where(
+        dist >= vmax * vmax / amax,
+        dist / vmax + vmax / amax,
+        2.0 * np.sqrt(dist / amax),
+    )
+
+
+def _linear_interp_kernel(diff: np.ndarray, vel_max, acc_max) -> np.ndarray:
+    return np.max(_trapezoid_kernel(np.abs(diff), vel_max, acc_max), axis=-1)
+
+
+def _checked_durations(diff: np.ndarray, vel_max, acc_max) -> np.ndarray:
+    """:func:`linear_interp_duration` of every difference vector in ``diff``."""
+    vel_max = _per_joint("vel_max", vel_max, diff.shape[-1])
+    acc_max = _per_joint("acc_max", acc_max, diff.shape[-1])
+    if np.any(vel_max <= 0.0) or np.any(acc_max <= 0.0):
+        raise ValueError("vmax and amax must be positive")
+    return _linear_interp_kernel(diff, vel_max, acc_max)
+
+
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
     """sqrt(sum_k w_k (q'_k - q_k)^2); weights multiply the squared difference."""
     delta = _deltas(q, q_to)
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != delta.size:
-        raise ValueError(f"weights length mismatch: {weights.size} vs {delta.size}")
-    total = 0.0
-    for k in range(delta.size):
-        total += weights[k] * delta[k] * delta[k]
-    return math.sqrt(total)
+    weights = _per_joint("weights", weights, delta.size)
+    return float(_weighted_euclidean_kernel(delta, weights))
 
 
 def max_joint_difference(q: Configuration, q_to: Configuration, vel_max) -> float:
     """Bottleneck travel time max_k |q'_k - q_k| / vel_max_k (seconds)."""
     delta = _deltas(q, q_to)
-    vel_max = np.asarray(vel_max, dtype=float)
-    if vel_max.size != delta.size:
-        raise ValueError(f"vel_max length mismatch: {vel_max.size} vs {delta.size}")
-    return float(np.max(np.abs(delta) / vel_max))
+    vel_max = _per_joint("vel_max", vel_max, delta.size)
+    return float(_max_joint_difference_kernel(delta, vel_max))
 
 
 def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
@@ -95,23 +128,12 @@ def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
     """
     if vmax <= 0.0 or amax <= 0.0:
         raise ValueError("vmax and amax must be positive")
-    dist = abs(delta)
-    if dist >= vmax * vmax / amax:
-        return dist / vmax + vmax / amax
-    return 2.0 * math.sqrt(dist / amax)
+    return float(_trapezoid_kernel(abs(delta), vmax, amax))
 
 
 def linear_interp_duration(q: Configuration, q_to: Configuration, vel_max, acc_max) -> float:
     """Duration of a synchronized straight joint-space move (slowest joint paces all)."""
-    delta = _deltas(q, q_to)
-    vel_max = np.asarray(vel_max, dtype=float)
-    acc_max = np.asarray(acc_max, dtype=float)
-    if vel_max.size != delta.size or acc_max.size != delta.size:
-        raise ValueError("vel_max/acc_max length mismatch")
-    return max(
-        trapezoid_duration_1d(float(delta[k]), float(vel_max[k]), float(acc_max[k]))
-        for k in range(delta.size)
-    )
+    return float(_checked_durations(_deltas(q, q_to), vel_max, acc_max))
 
 
 def default_weights(robot: RobotModel) -> np.ndarray:
@@ -135,22 +157,15 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     """Cost matrix between configuration stacks ``a`` (ma x dof) and ``b`` (mb x dof).
 
     Vectorized companion of :func:`edge_cost`, used to price whole graph
-    layers at once; entries match the scalar metric bit for bit (same
-    formulas, same branch conditions).
+    layers at once; both run the same kernel, so entries match the scalar
+    metric bit for bit.
     """
     kind = MetricKind(kind)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     diff = a[:, None, :] - b[None, :, :]
     if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+        return _weighted_euclidean_kernel(diff, params.weights)
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return np.max(np.abs(diff) / params.vel_max, axis=-1)
-    dist = np.abs(diff)
-    vel, acc = params.vel_max, params.acc_max
-    times = np.where(
-        dist >= vel * vel / acc,
-        dist / vel + vel / acc,
-        2.0 * np.sqrt(dist / acc),
-    )
-    return np.max(times, axis=-1)
+        return _max_joint_difference_kernel(diff, params.vel_max)
+    return _linear_interp_kernel(diff, params.vel_max, params.acc_max)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import cgraph, tsp
 from .kinematics import IkSolutionSet, ik_targets, manipulability, theta_grid
-from .metrics import MetricKind, MetricParams, linear_interp_duration, pairwise_cost
-from .model import Configuration, GuardError, Task, generate_random_task
+from .metrics import MetricKind, MetricParams, _checked_durations, pairwise_cost
+from .model import GuardError, Task, generate_random_task
 from .tsp import SolverKind, TourKind, TourOrder
 
 #: Guards for the exact joint-optimum search.
@@ -59,7 +59,6 @@ class PipelineConfig:
     step_size: float = math.pi / 4
     rnn_restarts: int = 1
     include_home_depot: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "tsp_solver", SolverKind(self.tsp_solver))
@@ -115,9 +114,13 @@ def execute_trajectory_schedule(configurations, vel_max, acc_max) -> float:
     """
     if len(configurations) < 2:
         raise ValueError("schedule needs at least two configurations")
+    stack = np.asarray(configurations, dtype=float)
+    durations = _checked_durations(stack[1:] - stack[:-1], vel_max, acc_max)
     total = 0.0
-    for a, b in zip(configurations[:-1], configurations[1:]):
-        total += linear_interp_duration(a, b, vel_max, acc_max)
+    # Summed left to right like cgraph.path_cost, so a linear_interp_duration
+    # step-2 cost of the same sequence has the same bits.
+    for duration in durations.tolist():
+        total += duration
     return total
 
 
@@ -167,10 +170,54 @@ def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: boo
     return tsp.tour_cost(dm, TourOrder(nodes, TourKind.CLOSED_CYCLE))
 
 
-def _selected_configurations(
-    ik_sets: list[IkSolutionSet], order: TourOrder, chosen
-) -> list[Configuration]:
-    return [ik_sets[t].solutions[c] for t, c in zip(order.order, chosen)]
+def _start_stages(task: Task, config: PipelineConfig | None):
+    """Start the stage clock and resolve IK: ``(config, params, ik_sets, marks)``.
+
+    ``marks`` holds the wall-clock time at each stage boundary; a runner
+    appends one mark after step 1 and one after step 2.
+    """
+    config = config or PipelineConfig()
+    params = MetricParams.from_robot(task.robot)
+    marks = [time.perf_counter()]
+    ik_sets = resolve_ik_sets(task, config.step_size)
+    marks.append(time.perf_counter())
+    return config, params, ik_sets, marks
+
+
+def _finish_stages(
+    method: str,
+    task: Task,
+    params: MetricParams,
+    ik_sets: list[IkSolutionSet],
+    marks: list[float],
+    order: TourOrder,
+    selection: cgraph.SelectionResult,
+    step1_cost: float,
+    graph: cgraph.LayeredGraph,
+) -> PipelineResult:
+    """Run step 3 (the schedule), stop the clock and assemble the result."""
+    chosen = [ik_sets[t].solutions[c] for t, c in zip(order.order, selection.chosen)]
+    sequence = [task.home, *chosen, task.home]
+    schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
+    marks.append(time.perf_counter())
+    return PipelineResult(
+        method=method,
+        order=order,
+        selection=selection,
+        schedule_duration=schedule,
+        step1_cost=step1_cost,
+        timings={
+            name: (end - begin) * 1e3
+            for name, begin, end in zip(
+                ("ik_ms", "step1_ms", "step2_ms", "step3_ms"), marks, marks[1:]
+            )
+        },
+        counts={
+            "n": task.n,
+            "total_ik": sum(s.count for s in ik_sets),
+            "edges": graph.edge_count,
+        },
+    )
 
 
 def solve_sequence(task: Task, config: PipelineConfig | None = None) -> PipelineResult:
@@ -179,45 +226,21 @@ def solve_sequence(task: Task, config: PipelineConfig | None = None) -> Pipeline
     Deterministic for a fixed ``(task, config)`` apart from the wall-clock
     timings (reported in milliseconds per stage).
     """
-    config = config or PipelineConfig()
-    params = MetricParams.from_robot(task.robot)
-
-    t0 = time.perf_counter()
-    ik_sets = resolve_ik_sets(task, config.step_size)
-    t1 = time.perf_counter()
+    config, params, ik_sets, marks = _start_stages(task, config)
 
     dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
     cycle = _solve_cycle(dm, config)
     order = _visit_order(cycle, task.n, config.include_home_depot)
     step1_cost = tsp.tour_cost(dm, cycle)
-    t2 = time.perf_counter()
+    marks.append(time.perf_counter())
 
     ordered = [ik_sets[t] for t in order.order]
     graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
     selection = cgraph.shortest_selection(graph)
-    t3 = time.perf_counter()
+    marks.append(time.perf_counter())
 
-    sequence = [task.home, *_selected_configurations(ik_sets, order, selection.chosen), task.home]
-    schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
-    t4 = time.perf_counter()
-
-    return PipelineResult(
-        method="decoupled",
-        order=order,
-        selection=selection,
-        schedule_duration=schedule,
-        step1_cost=step1_cost,
-        timings={
-            "ik_ms": (t1 - t0) * 1e3,
-            "step1_ms": (t2 - t1) * 1e3,
-            "step2_ms": (t3 - t2) * 1e3,
-            "step3_ms": (t4 - t3) * 1e3,
-        },
-        counts={
-            "n": task.n,
-            "total_ik": sum(s.count for s in ik_sets),
-            "edges": graph.edge_count,
-        },
+    return _finish_stages(
+        "decoupled", task, params, ik_sets, marks, order, selection, step1_cost, graph
     )
 
 
@@ -230,12 +253,7 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     selection prices the frozen assignment in the same layered graph the main
     pipeline uses, so the two step-2 costs are directly comparable.
     """
-    config = config or PipelineConfig()
-    params = MetricParams.from_robot(task.robot)
-
-    t0 = time.perf_counter()
-    ik_sets = resolve_ik_sets(task, config.step_size)
-    t1 = time.perf_counter()
+    config, params, ik_sets, marks = _start_stages(task, config)
 
     fixed = manipulability_choice(task, ik_sets)
     chosen_configs = np.vstack([ik_sets[i].solutions[fixed[i]] for i in range(task.n)])
@@ -246,36 +264,17 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     cycle = _solve_cycle(dm_cspace, config)
     order = _visit_order(cycle, task.n, config.include_home_depot)
     step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    t2 = time.perf_counter()
+    marks.append(time.perf_counter())
 
     ordered = [ik_sets[t] for t in order.order]
     graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
     chosen = tuple(fixed[t] for t in order.order)
     total, edges = cgraph.path_cost(graph, chosen)
     selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
-    t3 = time.perf_counter()
+    marks.append(time.perf_counter())
 
-    sequence = [task.home, *_selected_configurations(ik_sets, order, chosen), task.home]
-    schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
-    t4 = time.perf_counter()
-
-    return PipelineResult(
-        method="cspace_tsp",
-        order=order,
-        selection=selection,
-        schedule_duration=schedule,
-        step1_cost=step1_cost,
-        timings={
-            "ik_ms": (t1 - t0) * 1e3,
-            "step1_ms": (t2 - t1) * 1e3,
-            "step2_ms": (t3 - t2) * 1e3,
-            "step3_ms": (t4 - t3) * 1e3,
-        },
-        counts={
-            "n": task.n,
-            "total_ik": sum(s.count for s in ik_sets),
-            "edges": graph.edge_count,
-        },
+    return _finish_stages(
+        "cspace_tsp", task, params, ik_sets, marks, order, selection, step1_cost, graph
     )
 
 
@@ -288,12 +287,8 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     per order, the optimal selection is found with the same layered-graph
     machinery the main pipeline uses, so its cost is exactly comparable.
     """
-    config = config or PipelineConfig()
-    params = MetricParams.from_robot(task.robot)
-
-    t0 = time.perf_counter()
-    ik_sets = resolve_ik_sets(task, config.step_size)
-    t1 = time.perf_counter()
+    config, params, ik_sets, marks = _start_stages(task, config)
+    marks.append(marks[-1])  # no step 1: the joint search is one indivisible step 2
 
     n = task.n
     if n > GTSP_GUARD_TARGETS:
@@ -307,43 +302,20 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
             f"{GTSP_GUARD_TOURS}"
         )
 
-    best_perm: tuple | None = None
-    best_selection = None
-    best_graph = None
+    best = None  # (selection, perm, graph) of the first strictly cheapest order
     for perm in itertools.permutations(range(n)):
         ordered = [ik_sets[t] for t in perm]
         graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
         selection = cgraph.shortest_selection(graph)
-        if best_selection is None or selection.total_cost < best_selection.total_cost:
-            best_perm = perm
-            best_selection = selection
-            best_graph = graph
-    assert best_perm is not None and best_selection is not None and best_graph is not None
-    order = TourOrder(best_perm, TourKind.OPEN_PATH)
+        if best is None or selection.total_cost < best[0].total_cost:
+            best = (selection, perm, graph)
+    selection, perm, graph = best
+    order = TourOrder(perm, TourKind.OPEN_PATH)
     step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    t2 = time.perf_counter()
+    marks.append(time.perf_counter())
 
-    sequence = [task.home, *_selected_configurations(ik_sets, order, best_selection.chosen), task.home]
-    schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
-    t3 = time.perf_counter()
-
-    return PipelineResult(
-        method="gtsp_exact",
-        order=order,
-        selection=best_selection,
-        schedule_duration=schedule,
-        step1_cost=step1_cost,
-        timings={
-            "ik_ms": (t1 - t0) * 1e3,
-            "step1_ms": 0.0,
-            "step2_ms": (t2 - t1) * 1e3,  # the joint search is one indivisible stage
-            "step3_ms": (t3 - t2) * 1e3,
-        },
-        counts={
-            "n": task.n,
-            "total_ik": sum(s.count for s in ik_sets),
-            "edges": best_graph.edge_count,
-        },
+    return _finish_stages(
+        "gtsp_exact", task, params, ik_sets, marks, order, selection, step1_cost, graph
     )
 
 
@@ -409,24 +381,20 @@ def benchmark_run(
                 try:
                     result = runner(task, variant_config)
                 except GuardError:
-                    row.update(
-                        step1_ms=float("nan"), ik_ms=float("nan"),
-                        step2_ms=float("nan"), step3_ms=float("nan"),
-                        step1_cost=float("nan"), step2_cost=float("nan"),
-                        schedule_s=float("nan"), total_ik=0, edges=0,
-                    )
+                    measured = dict.fromkeys(("total_ik", "edges"), 0)
                 else:
-                    row.update(
-                        step1_ms=result.timings["step1_ms"],
-                        ik_ms=result.timings["ik_ms"],
-                        step2_ms=result.timings["step2_ms"],
-                        step3_ms=result.timings["step3_ms"],
-                        step1_cost=result.step1_cost,
-                        step2_cost=result.selection.total_cost,
-                        schedule_s=result.schedule_duration,
-                        total_ik=result.counts["total_ik"],
-                        edges=result.counts["edges"],
-                    )
+                    measured = {
+                        **result.timings,
+                        **result.counts,
+                        "step1_cost": result.step1_cost,
+                        "step2_cost": result.selection.total_cost,
+                        "schedule_s": result.schedule_duration,
+                    }
+                row.update(
+                    (field, measured.get(field, float("nan")))
+                    for field in BENCHMARK_FIELDS
+                    if field not in row
+                )
                 rows.append(row)
     rows.sort(key=lambda r: (r["variant"], r["n"], r["repeat"]))
     return rows

@@ -35,6 +35,17 @@ def test_parse_step_size():
     assert parse_step_size("0.5") == 0.5
 
 
+def test_step_size_dividing_by_zero_exits_1(tmp_path, capsys):
+    with pytest.raises(ValueError, match="divides by zero"):
+        parse_step_size("pi/0")
+    task = tmp_path / "t.json"
+    assert main(["generate", "--n", "3", "--seed", "1", "--out", str(task)]) == 0
+    code = main(["solve", "--task", str(task), "--step-size", "pi/0",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "error: step size 'pi/0' divides by zero" in capsys.readouterr().err
+
+
 def test_generate_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["generate", "--n", "5", "--m-max", "3", "--seed", "42",

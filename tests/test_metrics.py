@@ -136,16 +136,17 @@ def test_edge_cost_dispatch_matches_direct_calls():
     assert edge_cost(MetricKind.LINEAR_INTERP_DURATION, params, a, b) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("dof", [3, 8, 24])  # numpy sums 8+ terms pairwise, not in order
 @pytest.mark.parametrize("kind", list(MetricKind))
-def test_pairwise_kernel_matches_scalar_metric(kind):
+def test_pairwise_kernel_matches_scalar_metric(kind, dof):
     rng = np.random.default_rng(8)
     params = MetricParams(
-        weights=rng.uniform(0.5, 3.0, 3),
-        vel_max=rng.uniform(0.5, 2.0, 3),
-        acc_max=rng.uniform(0.5, 2.0, 3),
+        weights=rng.uniform(0.5, 3.0, dof),
+        vel_max=rng.uniform(0.5, 2.0, dof),
+        acc_max=rng.uniform(0.5, 2.0, dof),
     )
-    a = rng.uniform(-math.pi, math.pi, (4, 3))
-    b = rng.uniform(-math.pi, math.pi, (5, 3))
+    a = rng.uniform(-math.pi, math.pi, (4, dof))
+    b = rng.uniform(-math.pi, math.pi, (5, dof))
     table = pairwise_cost(kind, params, a, b)
     assert table.shape == (4, 5)
     for i in range(4):

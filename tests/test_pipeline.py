@@ -172,6 +172,15 @@ def test_gtsp_never_exceeds_the_decoupled_pipeline():
         assert joint.selection.total_cost <= ours.selection.total_cost + 1e-12
 
 
+def test_runners_report_the_same_timings_and_counts():
+    task = generate_random_task(4, 1, seed=7, mode="planar")
+    results = [runner(task, COARSE)
+               for runner in (solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact)]
+    assert {tuple(r.timings) for r in results} == {("ik_ms", "step1_ms", "step2_ms", "step3_ms")}
+    assert {tuple(r.counts) for r in results} == {("n", "total_ik", "edges")}
+    assert results[2].timings["step1_ms"] == 0.0
+
+
 def test_gtsp_guards():
     with pytest.raises(GuardError, match="guard"):
         baseline_gtsp_exact(generate_random_task(8, 1, seed=0, mode="explicit_ik"))
