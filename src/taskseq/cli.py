@@ -8,8 +8,9 @@ Subcommands::
     taskseq benchmark  sweep one axis (solver, metric, step size, method) to CSV
 
 Exit codes: 0 on success or MATCH, 1 on failure or MISMATCH, 2 on usage
-errors and guard refusals. All randomness enters through ``--seed``; files
-are written atomically (temp file plus rename) with LF line endings.
+errors. A guard refusal exits 2 under ``oracle`` and 1 (a failure) under the
+other subcommands. All randomness enters through ``--seed``; files are
+written atomically (temp file plus rename) with LF line endings.
 """
 
 from __future__ import annotations
@@ -94,51 +95,51 @@ def task_to_dict(task: Task) -> dict:
 
 
 def task_from_dict(doc: dict) -> Task:
-    """Parse and validate a task document; raises ValueError with all problems."""
+    """Parse and validate a task document; raises ValueError with all problems (never TypeError)."""
     if not isinstance(doc, dict):
         raise ValueError("task file must be a JSON object")
-    robot_doc = doc.get("robot")
+    robot_doc, home, entries = doc.get("robot"), doc.get("home"), doc.get("targets")
     if not isinstance(robot_doc, dict) or "dof" not in robot_doc:
         raise ValueError("task file needs a 'robot' object with a 'dof' field")
-    dof = int(robot_doc["dof"])
-    # Limits default to 1 rad/s and 1 rad/s^2 per joint when the file omits them.
-    vel_max = robot_doc.get("vel_max", [1.0] * dof)
-    acc_max = robot_doc.get("acc_max", [1.0] * dof)
-    robot = RobotModel(
-        dof=dof,
-        vel_max=vel_max,
-        acc_max=acc_max,
-        weights=robot_doc.get("weights"),
-        planar_links=robot_doc.get("planar_links"),
-    )
-    if "home" not in doc or "targets" not in doc:
-        raise ValueError("task file needs 'home' and 'targets' fields")
-    if not isinstance(doc["targets"], list) or not doc["targets"]:
-        raise ValueError("'targets' must be a non-empty list")
-
-    targets = []
-    styles = set()
-    for entry in doc["targets"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ValueError("every target needs an 'id' field")
-        position = entry.get("position")
-        ik_solutions = entry.get("ik_solutions")
-        if position is None and ik_solutions is None:
-            raise ValueError(f"target {entry['id']} has neither position nor ik_solutions")
-        styles.add((position is not None, ik_solutions is not None))
-        targets.append(
-            TaskTarget(
-                id=int(entry["id"]),
-                position=position,
-                ik_solutions=None if ik_solutions is None else tuple(ik_solutions),
-            )
+    if not isinstance(home, list) or not isinstance(entries, list) or not entries:
+        raise ValueError("task file needs a 'home' list and a non-empty 'targets' list")
+    try:
+        dof = int(robot_doc["dof"])
+        if dof != len(home):  # checked before the default limits allocate dof entries
+            raise ValueError(f"home length mismatch: expected {dof}, got {len(home)}")
+        # Limits default to 1 rad/s and 1 rad/s^2 per joint when the file omits them.
+        robot = RobotModel(
+            dof=dof,
+            vel_max=robot_doc.get("vel_max", [1.0] * dof),
+            acc_max=robot_doc.get("acc_max", [1.0] * dof),
+            weights=robot_doc.get("weights"),
+            planar_links=robot_doc.get("planar_links"),
         )
+        targets = []
+        styles = set()
+        for entry in entries:
+            if not isinstance(entry, dict) or "id" not in entry:
+                raise ValueError("every target needs an 'id' field")
+            position = entry.get("position")
+            ik_solutions = entry.get("ik_solutions")
+            if position is None and ik_solutions is None:
+                raise ValueError(f"target {entry['id']} has neither position nor ik_solutions")
+            styles.add((position is not None, ik_solutions is not None))
+            targets.append(
+                TaskTarget(
+                    id=int(entry["id"]),
+                    position=position,
+                    ik_solutions=None if ik_solutions is None else tuple(ik_solutions),
+                )
+            )
+        task = Task(robot=robot, home=home, targets=tuple(targets))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"task file has a field of the wrong type: {exc}") from exc
     if len(styles) > 1:
         raise ValueError(
             "mixed task file: all targets must populate the same fields "
             "(position, ik_solutions, or both)"
         )
-    task = Task(robot=robot, home=doc["home"], targets=tuple(targets))
     violations = validate_task(task)
     if violations:
         raise ValueError("invalid task:\n  " + "\n  ".join(violations))

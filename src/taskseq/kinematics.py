@@ -71,6 +71,12 @@ def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
     return Pose2D(x=x, y=y, theta=wrap_angle(float(angles[-1])))
 
 
+def _keep_if_new(kept: list, q: np.ndarray) -> None:
+    """Duplicate rule: append ``q`` unless it lies within DUPLICATE_TOL (max-norm) of a kept pose."""
+    if not kept or not np.any(np.max(np.abs(np.asarray(kept) - q), axis=1) <= DUPLICATE_TOL):
+        kept.append(q)
+
+
 def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
     """Analytic inverse kinematics of the 3R arm for a full planar pose.
 
@@ -97,9 +103,7 @@ def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
         q1 = math.atan2(wy, wx) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
         q1 = wrap_angle(q1)
         q3 = wrap_angle(pose.theta - q1 - q2)
-        q = np.array([q1, wrap_angle(q2), q3])
-        if not any(np.max(np.abs(q - kept)) <= DUPLICATE_TOL for kept in solutions):
-            solutions.append(q)
+        _keep_if_new(solutions, np.array([q1, wrap_angle(q2), q3]))
     return solutions
 
 
@@ -126,8 +130,7 @@ def ik_targets(
     solutions: list = []
     for theta in theta_grid(step_size):
         for q in ik_3r(arm, Pose2D(x=x, y=y, theta=wrap_angle(theta))):
-            if not any(np.max(np.abs(q - kept)) <= DUPLICATE_TOL for kept in solutions):
-                solutions.append(q)
+            _keep_if_new(solutions, q)
     return IkSolutionSet(target_id=target_id, solutions=tuple(solutions))
 
 

@@ -194,33 +194,28 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
 def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
-    Each restart appends the nearest unvisited node (ties toward the lowest
-    index); the cheapest resulting cycle wins, earlier starts winning ties.
+    All restarts advance in lock step, each appending its nearest unvisited node
+    (ties toward the lowest index); the cheapest cycle wins, earlier starts winning ties.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
-    best_cost = np.inf
-    best_order: list = list(range(n))
-    for start in range(restarts):
-        order = [start]
-        remaining = dm[start].copy()
-        remaining[start] = np.inf
-        cost = 0.0
-        current = start
-        for _ in range(n - 1):
-            nxt = int(np.argmin(remaining))
-            cost += dm[current, nxt]
-            order.append(nxt)
-            remaining = dm[nxt].copy()
-            remaining[order] = np.inf
-            current = nxt
-        cost += dm[current, start]
-        if cost < best_cost:
-            best_cost = cost
-            best_order = order
-    return TourOrder(tuple(best_order), TourKind.CLOSED_CYCLE)
+    rows = np.arange(restarts)
+    order = np.empty((restarts, n), dtype=np.intp)
+    order[:, 0] = rows
+    visited = np.eye(restarts, n, dtype=bool)
+    costs = np.zeros(restarts)
+    for step in range(1, n):
+        current = order[:, step - 1]
+        nxt = np.argmin(np.where(visited, np.inf, dm[current]), axis=1)
+        costs += dm[current, nxt]
+        order[:, step] = nxt
+        visited[rows, nxt] = True
+    costs += dm[order[:, -1], rows]
+    costs[~(costs < np.inf)] = np.inf  # NaN and infinite cycles never win ...
+    best = int(np.argmin(costs))
+    return TourOrder(order[best] if costs[best] < np.inf else range(n))  # ... else identity
 
 
 def solve_2opt(dm: np.ndarray, initial: TourOrder | None = None) -> TourOrder:

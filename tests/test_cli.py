@@ -206,3 +206,29 @@ def test_invalid_task_file_exits_1(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["solve", "--task", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     assert "home length mismatch" in capsys.readouterr().err
+
+
+def _task_doc(robot=None, target=None, **fields):
+    doc = {"robot": {"dof": 3, **(robot or {})}, "home": [0.0, 0.0, 0.0],
+           "targets": [{"id": 0, "ik_solutions": [[0.1, 0.2, 0.3]], **(target or {})}]}
+    return {**doc, **fields}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _task_doc(robot={"dof": [3]}),
+        _task_doc(target={"id": None}),
+        _task_doc(target={"ik_solutions": 5}),
+        _task_doc(home={"q": 0.0}),
+        _task_doc(robot={"vel_max": {"q": 1.0}}),
+        _task_doc(robot={"dof": 10**12}),  # must fail before any dof-sized allocation
+    ],
+    ids=["dof-list", "id-null", "ik-solutions-int", "home-object",
+         "vel-max-object", "dof-huge"],
+)
+def test_task_file_with_wrong_field_type_exits_1(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--task", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

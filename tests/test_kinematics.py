@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskseq.kinematics import (
     Pose2D,
@@ -178,3 +179,44 @@ def test_manipulability_against_finite_difference_jacobian():
     fd = _fd_jacobian(ARM, q)
     expected = math.sqrt(np.linalg.det(fd @ fd.T))
     assert manipulability(ARM, q) == pytest.approx(expected, rel=1e-6)
+
+
+def _ik_targets_by_scan(arm, target, step):
+    """IK pooling written with one max-norm check per kept pose, the reference for ik_targets."""
+    l1, l2, l3 = (float(v) for v in arm.planar_links)
+    x, y = target
+    pooled = []
+    for theta in (wrap_angle(t) for t in theta_grid(step)):
+        wx, wy = x - l3 * math.cos(theta), y - l3 * math.sin(theta)
+        c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+        if c2 > 1.0 + 1e-12 or c2 < -1.0 - 1e-12:
+            continue
+        elbow = math.acos(min(1.0, max(-1.0, c2)))
+        branches = []
+        for q2 in (-elbow, elbow):
+            q1 = wrap_angle(math.atan2(wy, wx) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2)))
+            q = np.array([q1, wrap_angle(q2), wrap_angle(theta - q1 - q2)])
+            if not any(np.max(np.abs(q - kept)) <= 1e-9 for kept in branches):
+                branches.append(q)
+        for q in branches:
+            if not any(np.max(np.abs(q - kept)) <= 1e-9 for kept in pooled):
+                pooled.append(q)
+    return pooled
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 23),
+    offset=st.sampled_from([0.0, 1e-3, 0.5]),
+    radius=st.one_of(st.sampled_from([0.25, 1.75]), st.floats(0.2, 1.8)),
+    step=st.sampled_from([math.pi, math.pi / 2, math.pi / 4, math.pi / 12]),
+)
+def test_ik_targets_match_the_pairwise_scan_bit_for_bit(k, offset, radius, step):
+    # Radii 0.25 and 1.75 are the arm's inner and outer reach, exact in floating point; with
+    # no offset the target lies on a grid orientation, where the elbow branches coincide.
+    arm = planar_arm((1.0, 0.5, 0.25))
+    angle = k * math.pi / 12 + offset
+    target = (radius * math.cos(angle), radius * math.sin(angle))
+    got = ik_targets(arm, target, step).solutions
+    want = _ik_targets_by_scan(arm, target, step)
+    assert [q.tobytes() for q in got] == [q.tobytes() for q in want]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskseq.model import GuardError, generate_random_task, planar_arm, Task, TaskTarget
 from taskseq.kinematics import forward_kinematics
@@ -224,3 +225,47 @@ def test_exact_enumeration_equivalence_tiny():
         for perm in itertools.permutations(range(1, 5))
     )
     assert tour_cost(dm, brute_force_cycle(dm)) == pytest.approx(best)
+
+
+def _rnn_by_start(dm, restarts):
+    """Repeated nearest-neighbor written one start at a time, the reference for solve_rnn."""
+    n = dm.shape[0]
+    best_cost, best_order = np.inf, list(range(n))
+    for start in range(restarts):
+        order, cost, current = [start], 0.0, start
+        remaining = dm[start].copy()
+        remaining[start] = np.inf
+        for _ in range(n - 1):
+            nxt = int(np.argmin(remaining))
+            cost += dm[current, nxt]
+            order.append(nxt)
+            remaining = dm[nxt].copy()
+            remaining[order] = np.inf
+            current = nxt
+        cost += dm[current, start]
+        if cost < best_cost:
+            best_cost, best_order = cost, order
+    return tuple(best_order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rnn_matches_the_per_start_loop_on_grid_points(data):
+    # Integer-grid points repeat distances, so nearest-neighbor and cost ties are common.
+    n = data.draw(st.integers(1, 12), label="n")
+    points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                min_size=n, max_size=n), label="points")
+    restarts = data.draw(st.integers(1, n), label="restarts")
+    dm = _euclidean_matrix(points)
+    assert solve_rnn(dm, restarts).order == _rnn_by_start(dm, restarts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rnn_matches_the_per_start_loop_on_non_finite_matrices(data):
+    # Infinite and NaN edges: such cycles never win, and with none finite the identity stands.
+    n = data.draw(st.integers(1, 7), label="n")
+    entries = st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan])
+    dm = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    restarts = data.draw(st.integers(1, n), label="restarts")
+    assert solve_rnn(dm, restarts).order == _rnn_by_start(dm, restarts)
