@@ -94,6 +94,13 @@ def task_to_dict(task: Task) -> dict:
     }
 
 
+def _integer_field(value, name: str) -> int:
+    """A JSON integer; bools, strings and numbers written with a fraction are refused."""
+    if type(value) is not int:
+        raise ValueError(f"task file field {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def task_from_dict(doc: dict) -> Task:
     """Parse and validate a task document; raises ValueError with all problems (never TypeError)."""
     if not isinstance(doc, dict):
@@ -104,7 +111,7 @@ def task_from_dict(doc: dict) -> Task:
     if not isinstance(home, list) or not isinstance(entries, list) or not entries:
         raise ValueError("task file needs a 'home' list and a non-empty 'targets' list")
     try:
-        dof = int(robot_doc["dof"])
+        dof = _integer_field(robot_doc["dof"], "dof")
         if dof != len(home):  # checked before the default limits allocate dof entries
             raise ValueError(f"home length mismatch: expected {dof}, got {len(home)}")
         # Limits default to 1 rad/s and 1 rad/s^2 per joint when the file omits them.
@@ -127,7 +134,7 @@ def task_from_dict(doc: dict) -> Task:
             styles.add((position is not None, ik_solutions is not None))
             targets.append(
                 TaskTarget(
-                    id=int(entry["id"]),
+                    id=_integer_field(entry["id"], "id"),
                     position=position,
                     ik_solutions=None if ik_solutions is None else tuple(ik_solutions),
                 )

@@ -56,12 +56,12 @@ class MetricParams:
         return cls(weights=weights, vel_max=robot.vel_max, acc_max=robot.acc_max)
 
 
-def _deltas(q: Configuration, q_to: Configuration) -> np.ndarray:
+def _pair(q: Configuration, q_to: Configuration) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(q, dtype=float)
     b = np.asarray(q_to, dtype=float)
     if a.size != b.size:
         raise ValueError(f"configuration length mismatch: {a.size} vs {b.size}")
-    return b - a
+    return a, b
 
 
 def _per_joint(name: str, values, dof: int) -> np.ndarray:
@@ -71,17 +71,38 @@ def _per_joint(name: str, values, dof: int) -> np.ndarray:
     return values
 
 
-# One kernel per formula. Each prices every difference vector along the last
-# axis of ``diff``, so one pair, a graph block and a whole schedule run the
-# same arithmetic and get the same bits.
+# One kernel per formula, so one pair, a graph block and a whole schedule run
+# the same arithmetic and get the same bits. The kernels price the moves
+# between configuration stacks ``a`` and ``b``: joints on the last axis, the
+# leading axes broadcast against each other.
+
+
+def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, *limits) -> np.ndarray:
+    """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, limits[0][k], ...)``.
+
+    The max is folded in one joint at a time, so a graph block never holds
+    an (m_a, m_b, dof) array. A max is exact in any order and each joint's
+    formula runs elementwise, so the result has the bits of a reduction over
+    the full difference array. Callers check that ``a``, ``b`` and every
+    limit have the same number of joints.
+    """
+    if a.shape[-1] == 0:
+        raise ValueError("cannot price a move of zero joints")
+    out = np.asarray(joint_cost(np.abs(a[..., 0] - b[..., 0]), *(lim[0] for lim in limits)))
+    for k in range(1, a.shape[-1]):
+        cost = joint_cost(np.abs(a[..., k] - b[..., k]), *(lim[k] for lim in limits))
+        np.maximum(out, cost, out=out)
+    return out
 
 
 def _weighted_euclidean_kernel(diff: np.ndarray, weights) -> np.ndarray:
+    # Takes the full difference array: numpy sums 8 or more terms pairwise,
+    # so a joint-by-joint running sum would change the bits at dof >= 8.
     return np.sqrt(np.sum(weights * diff * diff, axis=-1))
 
 
-def _max_joint_difference_kernel(diff: np.ndarray, vel_max) -> np.ndarray:
-    return np.max(np.abs(diff) / vel_max, axis=-1)
+def _max_joint_difference_kernel(a: np.ndarray, b: np.ndarray, vel_max) -> np.ndarray:
+    return _joint_max(a, b, np.divide, vel_max)
 
 
 def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
@@ -92,31 +113,31 @@ def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     )
 
 
-def _linear_interp_kernel(diff: np.ndarray, vel_max, acc_max) -> np.ndarray:
-    return np.max(_trapezoid_kernel(np.abs(diff), vel_max, acc_max), axis=-1)
+def _linear_interp_kernel(a: np.ndarray, b: np.ndarray, vel_max, acc_max) -> np.ndarray:
+    return _joint_max(a, b, _trapezoid_kernel, vel_max, acc_max)
 
 
-def _checked_durations(diff: np.ndarray, vel_max, acc_max) -> np.ndarray:
-    """:func:`linear_interp_duration` of every difference vector in ``diff``."""
-    vel_max = _per_joint("vel_max", vel_max, diff.shape[-1])
-    acc_max = _per_joint("acc_max", acc_max, diff.shape[-1])
+def _checked_durations(a: np.ndarray, b: np.ndarray, vel_max, acc_max) -> np.ndarray:
+    """:func:`linear_interp_duration` of every move from ``a`` to ``b``."""
+    vel_max = _per_joint("vel_max", vel_max, a.shape[-1])
+    acc_max = _per_joint("acc_max", acc_max, a.shape[-1])
     if np.any(vel_max <= 0.0) or np.any(acc_max <= 0.0):
         raise ValueError("vmax and amax must be positive")
-    return _linear_interp_kernel(diff, vel_max, acc_max)
+    return _linear_interp_kernel(a, b, vel_max, acc_max)
 
 
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
     """sqrt(sum_k w_k (q'_k - q_k)^2); weights multiply the squared difference."""
-    delta = _deltas(q, q_to)
-    weights = _per_joint("weights", weights, delta.size)
-    return float(_weighted_euclidean_kernel(delta, weights))
+    a, b = _pair(q, q_to)
+    weights = _per_joint("weights", weights, a.size)
+    return float(_weighted_euclidean_kernel(b - a, weights))
 
 
 def max_joint_difference(q: Configuration, q_to: Configuration, vel_max) -> float:
     """Bottleneck travel time max_k |q'_k - q_k| / vel_max_k (seconds)."""
-    delta = _deltas(q, q_to)
-    vel_max = _per_joint("vel_max", vel_max, delta.size)
-    return float(_max_joint_difference_kernel(delta, vel_max))
+    a, b = _pair(q, q_to)
+    vel_max = _per_joint("vel_max", vel_max, a.size)
+    return float(_max_joint_difference_kernel(a, b, vel_max))
 
 
 def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
@@ -133,7 +154,7 @@ def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
 
 def linear_interp_duration(q: Configuration, q_to: Configuration, vel_max, acc_max) -> float:
     """Duration of a synchronized straight joint-space move (slowest joint paces all)."""
-    return float(_checked_durations(_deltas(q, q_to), vel_max, acc_max))
+    return float(_checked_durations(*_pair(q, q_to), vel_max, acc_max))
 
 
 def default_weights(robot: RobotModel) -> np.ndarray:
@@ -158,14 +179,19 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
 
     Vectorized companion of :func:`edge_cost`, used to price whole graph
     layers at once; both run the same kernel, so entries match the scalar
-    metric bit for bit.
+    metric bit for bit. Raises ``ValueError`` when the stacks and ``params``
+    disagree on the number of joints.
     """
     kind = MetricKind(kind)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    diff = a[:, None, :] - b[None, :, :]
+    a = np.atleast_2d(np.asarray(a, dtype=float))[:, None, :]
+    b = np.atleast_2d(np.asarray(b, dtype=float))[None, :, :]
+    if not a.shape[-1] == b.shape[-1] == params.weights.size:
+        raise ValueError(
+            f"joint count mismatch: stacks of {a.shape[-1]} and {b.shape[-1]} joints, "
+            f"metric params for {params.weights.size}"
+        )
     if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        return _weighted_euclidean_kernel(diff, params.weights)
+        return _weighted_euclidean_kernel(a - b, params.weights)
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return _max_joint_difference_kernel(diff, params.vel_max)
-    return _linear_interp_kernel(diff, params.vel_max, params.acc_max)
+        return _max_joint_difference_kernel(a, b, params.vel_max)
+    return _linear_interp_kernel(a, b, params.vel_max, params.acc_max)

@@ -130,6 +130,15 @@ def _check_vector(report: list, vec, name: str, dof: int, positive: bool) -> Non
         report.append(f"{name} entries must be strictly positive")
 
 
+def _finite_stack(configurations, dof: int) -> bool:
+    """True when every configuration is a finite vector of ``dof`` entries (one array pass)."""
+    try:
+        stack = np.array(configurations, dtype=float)
+    except ValueError:  # configurations of different shapes
+        return False
+    return stack.shape == (len(configurations), dof) and bool(np.all(np.isfinite(stack)))
+
+
 def validate_task(task: Task) -> ValidationReport:
     """Collect every invariant violation in ``task``; an empty report means valid.
 
@@ -168,14 +177,16 @@ def validate_task(task: Task) -> ValidationReport:
         if target.ik_solutions is not None:
             if len(target.ik_solutions) == 0:
                 report.append(f"{name} has an empty ik_solutions list")
-            for k, q in enumerate(target.ik_solutions):
-                if q.size != robot.dof:
-                    report.append(
-                        f"{name} ik_solutions[{k}] length mismatch: "
-                        f"expected {robot.dof}, got {q.size}"
-                    )
-                elif not np.all(np.isfinite(q)):
-                    report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
+            elif not _finite_stack(target.ik_solutions, robot.dof):
+                # The one-pass check failed: name every configuration at fault.
+                for k, q in enumerate(target.ik_solutions):
+                    if q.size != robot.dof:
+                        report.append(
+                            f"{name} ik_solutions[{k}] length mismatch: "
+                            f"expected {robot.dof}, got {q.size}"
+                        )
+                    elif not np.all(np.isfinite(q)):
+                        report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
         elif target.position is None:
             report.append(f"{name} has neither a position nor ik_solutions")
 
@@ -231,7 +242,7 @@ def generate_random_task(n: int, m_max: int, seed: int, mode: str = "explicit_ik
         for i in range(n):
             position = rng.uniform(0.0, 1.0, size=2)
             m = int(rng.integers(1, m_max + 1))
-            sols = tuple(rng.uniform(-math.pi, math.pi, size=dof) for _ in range(m))
+            sols = tuple(rng.uniform(-math.pi, math.pi, size=(m, dof)))
             targets.append(TaskTarget(id=i, position=position, ik_solutions=sols))
         return Task(robot=robot, home=home, targets=tuple(targets))
 

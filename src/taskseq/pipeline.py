@@ -115,7 +115,7 @@ def execute_trajectory_schedule(configurations, vel_max, acc_max) -> float:
     if len(configurations) < 2:
         raise ValueError("schedule needs at least two configurations")
     stack = np.asarray(configurations, dtype=float)
-    durations = _checked_durations(stack[1:] - stack[:-1], vel_max, acc_max)
+    durations = _checked_durations(stack[:-1], stack[1:], vel_max, acc_max)
     total = 0.0
     # Summed left to right like cgraph.path_cost, so a linear_interp_duration
     # step-2 cost of the same sequence has the same bits.

@@ -210,8 +210,15 @@ def test_invalid_task_file_exits_1(tmp_path, capsys):
 
 def _task_doc(robot=None, target=None, **fields):
     doc = {"robot": {"dof": 3, **(robot or {})}, "home": [0.0, 0.0, 0.0],
-           "targets": [{"id": 0, "ik_solutions": [[0.1, 0.2, 0.3]], **(target or {})}]}
+           "targets": [{"id": 0, "position": [0.5, 0.5], "ik_solutions": [[0.1, 0.2, 0.3]],
+                        **(target or {})}]}
     return {**doc, **fields}
+
+
+def test_well_typed_task_doc_solves(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_task_doc()), encoding="utf-8")
+    assert main(["solve", "--task", str(good), "--out", str(tmp_path / "r.json")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -223,9 +230,16 @@ def _task_doc(robot=None, target=None, **fields):
         _task_doc(home={"q": 0.0}),
         _task_doc(robot={"vel_max": {"q": 1.0}}),
         _task_doc(robot={"dof": 10**12}),  # must fail before any dof-sized allocation
+        _task_doc(robot={"dof": "3"}),
+        _task_doc(target={"id": "0"}),
+        _task_doc(robot={"dof": 3.7}),
+        _task_doc(robot={"dof": 3.0}),
+        _task_doc(robot={"dof": True}),
+        _task_doc(target={"id": False}),
     ],
     ids=["dof-list", "id-null", "ik-solutions-int", "home-object",
-         "vel-max-object", "dof-huge"],
+         "vel-max-object", "dof-huge", "dof-string", "id-string", "dof-fractional",
+         "dof-float", "dof-bool", "id-bool"],
 )
 def test_task_file_with_wrong_field_type_exits_1(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taskseq.metrics import (
     MetricKind,
@@ -152,6 +154,70 @@ def test_pairwise_kernel_matches_scalar_metric(kind, dof):
     for i in range(4):
         for j in range(5):
             assert table[i, j] == edge_cost(kind, params, a[i], b[j])
+
+
+def _full_difference_cost(kind, params, a, b):
+    """The pairwise pricing the kernels must reproduce: one (m_a, m_b, dof) difference array."""
+    diff = a[:, None, :] - b[None, :, :]
+    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
+        return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+    if kind is MetricKind.MAX_JOINT_DIFFERENCE:
+        return np.max(np.abs(diff) / params.vel_max, axis=-1)
+    dist, vmax, amax = np.abs(diff), params.vel_max, params.acc_max
+    durations = np.where(dist >= vmax * vmax / amax, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
+    return np.max(durations, axis=-1)
+
+
+_ENTRIES = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+# Multiples of a joint's profile boundary vmax^2/amax: moves of exactly that
+# distance and one ulp either side of it take both branches of the trapezoid.
+_BOUNDARY_FACTORS = st.sampled_from([0.0, 1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.5, 2.0])
+
+
+@st.composite
+def _priced_stacks(draw, dof):
+    limits = arrays(float, dof, elements=st.floats(0.25, 4.0))
+    params = MetricParams(weights=draw(limits), vel_max=draw(limits), acc_max=draw(limits))
+    boundary = params.vel_max * params.vel_max / params.acc_max
+
+    def stack():
+        shape = (draw(st.integers(1, 40)), dof)
+        plain = draw(arrays(float, shape, elements=_ENTRIES))
+        factors = draw(arrays(float, shape, elements=_BOUNDARY_FACTORS))
+        return np.where(draw(arrays(bool, shape)), factors * boundary, plain)
+
+    return params, stack(), stack()
+
+
+@pytest.mark.parametrize("dof", [1, 3, 6, 8, 24])
+@pytest.mark.parametrize("kind", list(MetricKind))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pairwise_cost_matches_the_full_difference_array(kind, dof, data):
+    params, a, b = data.draw(_priced_stacks(dof))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN move on both sides
+        expected = _full_difference_cost(kind, params, a, b)
+        table = pairwise_cost(kind, params, a, b)
+    assert np.array_equal(table, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("a_dof,b_dof,params_dof", [(1, 3, 3), (3, 3, 1), (3, 2, 3)])
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_pairwise_cost_rejects_a_joint_count_mismatch(kind, a_dof, b_dof, params_dof):
+    params = MetricParams(weights=np.ones(params_dof), vel_max=np.ones(params_dof),
+                          acc_max=np.ones(params_dof))
+    with pytest.raises(ValueError, match="joint count mismatch"):
+        pairwise_cost(kind, params, np.zeros((2, a_dof)), np.ones((3, b_dof)))
+
+
+@pytest.mark.parametrize("kind", [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION])
+def test_pairwise_cost_of_zero_joints_raises(kind):
+    params = MetricParams(weights=[], vel_max=[], acc_max=[])
+    with pytest.raises(ValueError):
+        pairwise_cost(kind, params, np.empty((2, 0)), np.empty((3, 0)))
 
 
 def test_params_from_planar_robot_uses_reach_weights():

@@ -83,6 +83,23 @@ def test_empty_ik_list_is_reported():
     assert any("empty" in v for v in validate_task(task))
 
 
+def test_every_faulty_configuration_is_reported():
+    robot = RobotModel(dof=3, vel_max=np.ones(3), acc_max=np.ones(3))
+    ragged = (np.zeros(3), np.zeros(2), np.array([0.0, np.nan, 0.0]), np.zeros(4), np.zeros(3))
+    same_length = (np.zeros(3), np.array([np.inf, 0.0, 0.0]))
+    all_short = (np.zeros(2), np.zeros(2))
+    targets = [TaskTarget(id=0, ik_solutions=ragged), TaskTarget(id=1, ik_solutions=same_length),
+               TaskTarget(id=2, ik_solutions=all_short)]
+    assert validate_task(Task(robot=robot, home=np.zeros(3), targets=targets)) == [
+        "target 0 ik_solutions[1] length mismatch: expected 3, got 2",
+        "target 0 ik_solutions[2] contains non-finite entries",
+        "target 0 ik_solutions[3] length mismatch: expected 3, got 4",
+        "target 1 ik_solutions[1] contains non-finite entries",
+        "target 2 ik_solutions[0] length mismatch: expected 3, got 2",
+        "target 2 ik_solutions[1] length mismatch: expected 3, got 2",
+    ]
+
+
 def test_nonpositive_limit_is_reported():
     robot = RobotModel(dof=2, vel_max=[1.0, 0.0], acc_max=[1.0, 1.0])
     task = Task(
@@ -99,6 +116,18 @@ def test_generator_is_deterministic():
     assert _task_fingerprint(a) == _task_fingerprint(b)
     c = generate_random_task(5, 3, seed=43, mode="explicit_ik")
     assert _task_fingerprint(a) != _task_fingerprint(c)
+
+
+def test_generator_draws_the_per_configuration_stream():
+    # Reference: one dof-sized draw per configuration.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        task = generate_random_task(6, 20, seed=seed, mode="explicit_ik")
+        for target in task.targets:
+            assert np.array_equal(target.position, rng.uniform(0.0, 1.0, size=2))
+            m = int(rng.integers(1, 21))
+            expected = [rng.uniform(-np.pi, np.pi, size=6) for _ in range(m)]
+            assert np.array_equal(np.vstack(target.ik_solutions), np.vstack(expected))
 
 
 def test_generator_bounds_single_target():
