@@ -30,16 +30,13 @@ BRUTE_FORCE_GUARD = 10**6
 class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target, fully priced."""
 
-    home: Configuration
-    target_ids: tuple[int, ...]
-    layers: tuple[np.ndarray, ...]          # layer i: (m_i, dof) configuration stack
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
     step_costs: tuple[np.ndarray, ...]      # (m_i, m_{i+1}) between layers
     goal_costs: np.ndarray                  # (m_n,) last layer -> Goal
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(layer.shape[0] for layer in self.layers)
+        return (self.start_costs.size, *(block.shape[1] for block in self.step_costs))
 
     @property
     def vertex_count(self) -> int:
@@ -78,36 +75,27 @@ def build_layered_graph(
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
     layers = []
-    ids = []
     for entry in ordered_ik:
         if entry.count == 0:
             raise ValueError(f"target {entry.target_id} has an empty solution set")
-        layers.append(np.vstack(entry.solutions).astype(float))
-        ids.append(entry.target_id)
-    home = np.asarray(home, dtype=float)
-    home_stack = home[None, :]
+        layers.append(np.vstack(entry.solutions))
+    home_stack = np.asarray(home, dtype=float)[None, :]
 
-    start_costs = pairwise_cost(kind, params, home_stack, layers[0])[0]
-    goal_costs = pairwise_cost(kind, params, layers[-1], home_stack)[:, 0]
-    step_costs = tuple(
-        pairwise_cost(kind, params, layers[i], layers[i + 1])
-        for i in range(len(layers) - 1)
-    )
     return LayeredGraph(
-        home=home,
-        target_ids=tuple(ids),
-        layers=tuple(layers),
-        start_costs=start_costs,
-        step_costs=step_costs,
-        goal_costs=goal_costs,
+        start_costs=pairwise_cost(kind, params, home_stack, layers[0])[0],
+        step_costs=tuple(
+            pairwise_cost(kind, params, layers[i], layers[i + 1])
+            for i in range(len(layers) - 1)
+        ),
+        goal_costs=pairwise_cost(kind, params, layers[-1], home_stack)[:, 0],
     )
 
 
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     """Cost of one Start->Goal path, accumulated edge by edge from the Start side."""
     chosen = tuple(int(c) for c in chosen)
-    if len(chosen) != len(graph.layers):
-        raise ValueError(f"expected {len(graph.layers)} choices, got {len(chosen)}")
+    if len(chosen) != len(graph.layer_sizes):
+        raise ValueError(f"expected {len(graph.layer_sizes)} choices, got {len(chosen)}")
     edges = [float(graph.start_costs[chosen[0]])]
     for i in range(len(chosen) - 1):
         edges.append(float(graph.step_costs[i][chosen[i], chosen[i + 1]]))
@@ -128,7 +116,7 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     costs are re-accumulated from the Start side so they are arithmetically
     identical to :func:`path_cost` on the same choice.
     """
-    n = len(graph.layers)
+    n = len(graph.layer_sizes)
     suffix = [None] * n
     suffix[n - 1] = graph.goal_costs
     for i in range(n - 2, -1, -1):

@@ -72,26 +72,22 @@ def parse_step_size(text: str) -> float:
 def task_to_dict(task: Task) -> dict:
     robot: dict = {
         "dof": task.robot.dof,
-        "vel_max": [float(v) for v in task.robot.vel_max],
-        "acc_max": [float(v) for v in task.robot.acc_max],
+        "vel_max": task.robot.vel_max.tolist(),
+        "acc_max": task.robot.acc_max.tolist(),
     }
     if task.robot.weights is not None:
-        robot["weights"] = [float(v) for v in task.robot.weights]
+        robot["weights"] = task.robot.weights.tolist()
     if task.robot.planar_links is not None:
-        robot["planar_links"] = [float(v) for v in task.robot.planar_links]
+        robot["planar_links"] = task.robot.planar_links.tolist()
     targets = []
     for target in task.targets:
         entry: dict = {"id": target.id}
         if target.position is not None:
-            entry["position"] = [float(v) for v in target.position]
+            entry["position"] = target.position.tolist()
         if target.ik_solutions is not None:
-            entry["ik_solutions"] = [[float(v) for v in q] for q in target.ik_solutions]
+            entry["ik_solutions"] = [q.tolist() for q in target.ik_solutions]
         targets.append(entry)
-    return {
-        "robot": robot,
-        "home": [float(v) for v in task.home],
-        "targets": targets,
-    }
+    return {"robot": robot, "home": task.home.tolist(), "targets": targets}
 
 
 def _integer_field(value, name: str) -> int:

@@ -109,8 +109,10 @@ def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
 
 def theta_grid(step_size: float) -> list:
     """Orientation grid {k * step : k = 0 .. 2*pi/step - 1}; step must divide 2*pi."""
-    if step_size <= 0.0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    if not math.isfinite(TWO_PI / step_size):
+        raise ValueError(f"step_size {step_size} is too small: 2*pi/step overflows")
     count = round(TWO_PI / step_size)
     if count < 1 or abs(count * step_size - TWO_PI) > 1e-12:
         raise ValueError(f"step_size {step_size} does not divide 2*pi")

@@ -30,7 +30,7 @@ class MetricKind(str, Enum):
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Per-joint weights and limits consumed by the metrics."""
+    """Per-joint weights and limits consumed by the metrics; the limits must be positive."""
 
     weights: np.ndarray
     vel_max: np.ndarray
@@ -43,6 +43,8 @@ class MetricParams:
         sizes = {self.weights.size, self.vel_max.size, self.acc_max.size}
         if len(sizes) != 1:
             raise ValueError(f"weights/vel_max/acc_max length mismatch: {sizes}")
+        if not (np.all(self.vel_max > 0.0) and np.all(self.acc_max > 0.0)):
+            raise ValueError("vel_max and acc_max must be positive")
 
     @classmethod
     def from_robot(cls, robot: RobotModel) -> "MetricParams":
@@ -56,25 +58,8 @@ class MetricParams:
         return cls(weights=weights, vel_max=robot.vel_max, acc_max=robot.acc_max)
 
 
-def _pair(q: Configuration, q_to: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(q, dtype=float)
-    b = np.asarray(q_to, dtype=float)
-    if a.size != b.size:
-        raise ValueError(f"configuration length mismatch: {a.size} vs {b.size}")
-    return a, b
-
-
-def _per_joint(name: str, values, dof: int) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.size != dof:
-        raise ValueError(f"{name} length mismatch: {values.size} vs {dof}")
-    return values
-
-
-# One kernel per formula, so one pair, a graph block and a whole schedule run
-# the same arithmetic and get the same bits. The kernels price the moves
-# between configuration stacks ``a`` and ``b``: joints on the last axis, the
-# leading axes broadcast against each other.
+# One pricing function for every metric entry point, so one pair, a graph
+# block and a whole schedule run the same arithmetic and get the same bits.
 
 
 def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, *limits) -> np.ndarray:
@@ -95,16 +80,6 @@ def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, *limits) -> np.ndarray:
     return out
 
 
-def _weighted_euclidean_kernel(diff: np.ndarray, weights) -> np.ndarray:
-    # Takes the full difference array: numpy sums 8 or more terms pairwise,
-    # so a joint-by-joint running sum would change the bits at dof >= 8.
-    return np.sqrt(np.sum(weights * diff * diff, axis=-1))
-
-
-def _max_joint_difference_kernel(a: np.ndarray, b: np.ndarray, vel_max) -> np.ndarray:
-    return _joint_max(a, b, np.divide, vel_max)
-
-
 def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     return np.where(
         dist >= vmax * vmax / amax,
@@ -113,31 +88,40 @@ def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     )
 
 
-def _linear_interp_kernel(a: np.ndarray, b: np.ndarray, vel_max, acc_max) -> np.ndarray:
-    return _joint_max(a, b, _trapezoid_kernel, vel_max, acc_max)
+def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
+    """Cost of every move from stack ``a`` to stack ``b`` under the metric ``kind``.
 
-
-def _checked_durations(a: np.ndarray, b: np.ndarray, vel_max, acc_max) -> np.ndarray:
-    """:func:`linear_interp_duration` of every move from ``a`` to ``b``."""
-    vel_max = _per_joint("vel_max", vel_max, a.shape[-1])
-    acc_max = _per_joint("acc_max", acc_max, a.shape[-1])
-    if np.any(vel_max <= 0.0) or np.any(acc_max <= 0.0):
-        raise ValueError("vmax and amax must be positive")
-    return _linear_interp_kernel(a, b, vel_max, acc_max)
+    Joints lie on the last axis; the leading axes broadcast against each
+    other. Raises ``ValueError`` when the stacks and ``params`` disagree on
+    the number of joints.
+    """
+    kind = MetricKind(kind)
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not a.shape[-1] == b.shape[-1] == params.weights.size:
+        raise ValueError(
+            f"joint count mismatch: stacks of {a.shape[-1]} and {b.shape[-1]} joints, "
+            f"metric params for {params.weights.size}"
+        )
+    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
+        # Sums the full difference array: numpy sums 8 or more terms pairwise,
+        # so a joint-by-joint running sum would change the bits at dof >= 8.
+        diff = a - b
+        return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+    if kind is MetricKind.MAX_JOINT_DIFFERENCE:
+        return _joint_max(a, b, np.divide, params.vel_max)
+    return _joint_max(a, b, _trapezoid_kernel, params.vel_max, params.acc_max)
 
 
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
     """sqrt(sum_k w_k (q'_k - q_k)^2); weights multiply the squared difference."""
-    a, b = _pair(q, q_to)
-    weights = _per_joint("weights", weights, a.size)
-    return float(_weighted_euclidean_kernel(b - a, weights))
+    unit = np.ones(np.size(weights))
+    return float(_price(MetricKind.WEIGHTED_EUCLIDEAN, MetricParams(weights, unit, unit), q, q_to))
 
 
 def max_joint_difference(q: Configuration, q_to: Configuration, vel_max) -> float:
     """Bottleneck travel time max_k |q'_k - q_k| / vel_max_k (seconds)."""
-    a, b = _pair(q, q_to)
-    vel_max = _per_joint("vel_max", vel_max, a.size)
-    return float(_max_joint_difference_kernel(a, b, vel_max))
+    unit = np.ones(np.size(vel_max))
+    return float(_price(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(unit, vel_max, unit), q, q_to))
 
 
 def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
@@ -147,14 +131,13 @@ def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
     profile that never reaches ``vmax``; the two agree at the boundary
     distance vmax^2/amax.
     """
-    if vmax <= 0.0 or amax <= 0.0:
-        raise ValueError("vmax and amax must be positive")
-    return float(_trapezoid_kernel(abs(delta), vmax, amax))
+    return linear_interp_duration([0.0], [delta], [vmax], [amax])
 
 
 def linear_interp_duration(q: Configuration, q_to: Configuration, vel_max, acc_max) -> float:
     """Duration of a synchronized straight joint-space move (slowest joint paces all)."""
-    return float(_checked_durations(*_pair(q, q_to), vel_max, acc_max))
+    params = MetricParams(np.ones(np.size(vel_max)), vel_max, acc_max)
+    return float(_price(MetricKind.LINEAR_INTERP_DURATION, params, q, q_to))
 
 
 def default_weights(robot: RobotModel) -> np.ndarray:
@@ -165,33 +148,18 @@ def default_weights(robot: RobotModel) -> np.ndarray:
 
 
 def edge_cost(kind: MetricKind, params: MetricParams, q: Configuration, q_to: Configuration) -> float:
-    """Dispatch to the metric selected by ``kind``."""
-    kind = MetricKind(kind)
-    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        return weighted_euclidean(q, q_to, params.weights)
-    if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return max_joint_difference(q, q_to, params.vel_max)
-    return linear_interp_duration(q, q_to, params.vel_max, params.acc_max)
+    """Cost of the move from ``q`` to ``q_to`` under the metric selected by ``kind``."""
+    return float(_price(kind, params, q, q_to))
 
 
 def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cost matrix between configuration stacks ``a`` (ma x dof) and ``b`` (mb x dof).
 
     Vectorized companion of :func:`edge_cost`, used to price whole graph
-    layers at once; both run the same kernel, so entries match the scalar
-    metric bit for bit. Raises ``ValueError`` when the stacks and ``params``
-    disagree on the number of joints.
+    layers at once; both run the same pricing function, so entries match the
+    scalar metric bit for bit. Raises ``ValueError`` when the stacks and
+    ``params`` disagree on the number of joints.
     """
-    kind = MetricKind(kind)
     a = np.atleast_2d(np.asarray(a, dtype=float))[:, None, :]
     b = np.atleast_2d(np.asarray(b, dtype=float))[None, :, :]
-    if not a.shape[-1] == b.shape[-1] == params.weights.size:
-        raise ValueError(
-            f"joint count mismatch: stacks of {a.shape[-1]} and {b.shape[-1]} joints, "
-            f"metric params for {params.weights.size}"
-        )
-    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        return _weighted_euclidean_kernel(a - b, params.weights)
-    if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return _max_joint_difference_kernel(a, b, params.vel_max)
-    return _linear_interp_kernel(a, b, params.vel_max, params.acc_max)
+    return _price(kind, params, a, b)

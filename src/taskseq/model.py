@@ -145,7 +145,8 @@ def validate_task(task: Task) -> ValidationReport:
     Violations are returned as data rather than raised, so a caller can report
     all problems of a malformed task file at once. Planar targets whose
     position lies outside the arm's reachable annulus (for every tool
-    orientation) are flagged as unreachable.
+    orientation) are flagged as unreachable, and position-only targets need
+    the 3-link planar arm that the analytic IK solves.
     """
     report: list = []
     robot = task.robot
@@ -201,6 +202,11 @@ def validate_task(task: Task) -> ValidationReport:
                 if not robot.is_planar:
                     report.append(
                         f"{name} has only a position but the robot has no planar links"
+                    )
+                elif robot.planar_links.size != 3:
+                    report.append(
+                        f"{name} has only a position but IK needs a 3-link planar arm, "
+                        f"got {robot.planar_links.size} links"
                     )
                 elif robot.planar_links.size == robot.dof:
                     inner, outer = planar_reach_interval(robot.planar_links)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import cgraph, tsp
 from .kinematics import IkSolutionSet, ik_targets, manipulability, theta_grid
-from .metrics import MetricKind, MetricParams, _checked_durations, pairwise_cost
+from .metrics import MetricKind, MetricParams, _price, pairwise_cost
 from .model import GuardError, Task, generate_random_task
 from .tsp import SolverKind, TourKind, TourOrder
 
@@ -115,7 +115,8 @@ def execute_trajectory_schedule(configurations, vel_max, acc_max) -> float:
     if len(configurations) < 2:
         raise ValueError("schedule needs at least two configurations")
     stack = np.asarray(configurations, dtype=float)
-    durations = _checked_durations(stack[:-1], stack[1:], vel_max, acc_max)
+    params = MetricParams(np.ones(np.size(vel_max)), vel_max, acc_max)
+    durations = _price(MetricKind.LINEAR_INTERP_DURATION, params, stack[:-1], stack[1:])
     total = 0.0
     # Summed left to right like cgraph.path_cost, so a linear_interp_duration
     # step-2 cost of the same sequence has the same bits.

@@ -195,7 +195,8 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
     All restarts advance in lock step, each appending its nearest unvisited node
-    (ties toward the lowest index); the cheapest cycle wins, earlier starts winning ties.
+    (ties toward the lowest index, and the lowest-index unvisited node when all are
+    at inf); the cheapest cycle wins, earlier starts winning ties.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
@@ -209,6 +210,8 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     for step in range(1, n):
         current = order[:, step - 1]
         nxt = np.argmin(np.where(visited, np.inf, dm[current]), axis=1)
+        stuck = visited[rows, nxt]  # every unvisited node is at inf: take the lowest-index one
+        nxt[stuck] = np.argmin(visited[stuck], axis=1)
         costs += dm[current, nxt]
         order[:, step] = nxt
         visited[rows, nxt] = True

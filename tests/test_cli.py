@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from taskseq.cli import main, parse_step_size, task_from_dict
+from taskseq.cli import main, parse_step_size, task_from_dict, task_to_dict
+from taskseq.model import RobotModel, Task, TaskTarget, generate_random_task
 from taskseq.pipeline import BENCHMARK_FIELDS
 
 CSV_HEADER = ",".join(BENCHMARK_FIELDS)
@@ -44,6 +46,53 @@ def test_step_size_dividing_by_zero_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "r.json")])
     assert code == 1
     assert "error: step size 'pi/0' divides by zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["1e-320", "nan"])
+def test_non_finite_step_size_exits_1(tmp_path, capsys, step):
+    # 2*pi/1e-320 overflows to inf; nan is neither positive nor finite.
+    task = tmp_path / "t.json"
+    assert main(["generate", "--n", "3", "--seed", "1", "--out", str(task)]) == 0
+    code = main(["solve", "--task", str(task), "--step-size", step,
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "error: step_size" in capsys.readouterr().err
+
+
+def _task_to_dict_per_value(task):
+    """The task file writer that converted one value at a time, the reference for task_to_dict."""
+    robot = {
+        "dof": task.robot.dof,
+        "vel_max": [float(v) for v in task.robot.vel_max],
+        "acc_max": [float(v) for v in task.robot.acc_max],
+    }
+    if task.robot.weights is not None:
+        robot["weights"] = [float(v) for v in task.robot.weights]
+    if task.robot.planar_links is not None:
+        robot["planar_links"] = [float(v) for v in task.robot.planar_links]
+    targets = []
+    for target in task.targets:
+        entry = {"id": target.id}
+        if target.position is not None:
+            entry["position"] = [float(v) for v in target.position]
+        if target.ik_solutions is not None:
+            entry["ik_solutions"] = [[float(v) for v in q] for q in target.ik_solutions]
+        targets.append(entry)
+    return {"robot": robot, "home": [float(v) for v in task.home], "targets": targets}
+
+
+def test_task_to_dict_writes_the_per_value_bytes():
+    tasks = [
+        generate_random_task(1 + seed % 9, 1 + seed % 5, seed, mode)
+        for mode in ("explicit_ik", "planar")
+        for seed in range(20)
+    ]
+    weighted = RobotModel(dof=2, vel_max=[0.1, 3.0], acc_max=[1.0, 2.5], weights=[1 / 3, 2.0])
+    tasks.append(Task(robot=weighted, home=[-0.0, np.pi], targets=[
+        TaskTarget(id=0, position=[0.1, -2e-300], ik_solutions=[[1.0, 2.0], [np.e, -0.0]]),
+    ]))
+    for task in tasks:
+        assert json.dumps(task_to_dict(task)) == json.dumps(_task_to_dict_per_value(task))
 
 
 def test_generate_is_byte_identical(tmp_path):

@@ -220,6 +220,30 @@ def test_pairwise_cost_of_zero_joints_raises(kind):
         pairwise_cost(kind, params, np.empty((2, 0)), np.empty((3, 0)))
 
 
+_NON_POSITIVE_LIMITS = [
+    ([-1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+    ([1.0, 1.0, 1.0], [1.0, -1.0, 1.0]),
+    ([1.0, 1.0, 1.0], [1.0, 1.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("vel_max,acc_max", _NON_POSITIVE_LIMITS)
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_non_positive_limits_raise_through_pairwise_and_edge_cost(kind, vel_max, acc_max):
+    a, b = np.zeros(3), np.ones(3)
+    with pytest.raises(ValueError, match="must be positive"):
+        pairwise_cost(kind, MetricParams(np.ones(3), vel_max, acc_max), a[None], b[None])
+    with pytest.raises(ValueError, match="must be positive"):
+        edge_cost(kind, MetricParams(np.ones(3), vel_max, acc_max), a, b)
+
+
+@pytest.mark.parametrize("vel_max", [[-1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+def test_max_joint_difference_rejects_non_positive_vel_max(vel_max):
+    with pytest.raises(ValueError, match="must be positive"):
+        max_joint_difference(np.zeros(3), np.ones(3), vel_max)
+
+
 def test_params_from_planar_robot_uses_reach_weights():
     params = MetricParams.from_robot(planar_arm((1.0, 1.0, 1.0)))
     assert np.allclose(params.weights, [3.0, 2.0, 1.0])

@@ -67,6 +67,15 @@ def test_reachable_planar_target_passes():
     assert validate_task(task) == []
 
 
+@pytest.mark.parametrize("links", [(1.0, 0.8), (1.0, 0.8, 0.5, 0.3)])
+def test_position_only_target_needs_a_3_link_arm(links):
+    arm = planar_arm(links)
+    task = Task(robot=arm, home=np.zeros(arm.dof), targets=[TaskTarget(id=0, position=[1.2, 0.3])])
+    assert validate_task(task) == [
+        f"target 0 has only a position but IK needs a 3-link planar arm, got {len(links)} links"
+    ]
+
+
 def test_duplicate_target_ids_are_reported():
     robot = RobotModel(dof=1, vel_max=[1.0], acc_max=[1.0])
     targets = [

@@ -237,6 +237,7 @@ def _rnn_by_start(dm, restarts):
         remaining[start] = np.inf
         for _ in range(n - 1):
             nxt = int(np.argmin(remaining))
+            nxt = min(set(range(n)) - set(order)) if nxt in order else nxt  # all unvisited at inf
             cost += dm[current, nxt]
             order.append(nxt)
             remaining = dm[nxt].copy()
@@ -268,4 +269,13 @@ def test_rnn_matches_the_per_start_loop_on_non_finite_matrices(data):
     entries = st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan])
     dm = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
     restarts = data.draw(st.integers(1, n), label="restarts")
-    assert solve_rnn(dm, restarts).order == _rnn_by_start(dm, restarts)
+    order = solve_rnn(dm, restarts).order
+    assert sorted(order) == list(range(n))
+    assert order == _rnn_by_start(dm, restarts)
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 3])
+def test_rnn_restart_with_every_unvisited_node_at_inf_still_visits_all(restarts):
+    # Off the diagonal every edge is inf: a restart must not revisit its start at zero cost.
+    dm = np.where(np.eye(3, dtype=bool), 0.0, np.inf)
+    assert solve_rnn(dm, restarts).order == (0, 1, 2)
