@@ -69,25 +69,19 @@ def build_layered_graph(
     """Assemble the graph for targets already in visiting order.
 
     ``ordered_ik`` is a sequence of :class:`IkSolutionSet`; every set must be
-    non-empty. All edge costs are evaluated here, once, under the selected
-    metric.
+    non-empty, and its (m, dof) array is the layer. All edge costs are
+    evaluated here, once, under the selected metric.
     """
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
-    layers = []
     for entry in ordered_ik:
         if entry.count == 0:
             raise ValueError(f"target {entry.target_id} has an empty solution set")
-        layers.append(np.vstack(entry.solutions))
-    home_stack = np.asarray(home, dtype=float)[None, :]
-
+    layers = [entry.solutions for entry in ordered_ik]
     return LayeredGraph(
-        start_costs=pairwise_cost(kind, params, home_stack, layers[0])[0],
-        step_costs=tuple(
-            pairwise_cost(kind, params, layers[i], layers[i + 1])
-            for i in range(len(layers) - 1)
-        ),
-        goal_costs=pairwise_cost(kind, params, layers[-1], home_stack)[:, 0],
+        start_costs=pairwise_cost(kind, params, home, layers[0])[0],
+        step_costs=tuple(pairwise_cost(kind, params, a, b) for a, b in zip(layers, layers[1:])),
+        goal_costs=pairwise_cost(kind, params, layers[-1], home)[:, 0],
     )
 
 

@@ -85,7 +85,7 @@ def task_to_dict(task: Task) -> dict:
         if target.position is not None:
             entry["position"] = target.position.tolist()
         if target.ik_solutions is not None:
-            entry["ik_solutions"] = [q.tolist() for q in target.ik_solutions]
+            entry["ik_solutions"] = target.ik_solutions.tolist()
         targets.append(entry)
     return {"robot": robot, "home": task.home.tolist(), "targets": targets}
 
@@ -125,14 +125,12 @@ def task_from_dict(doc: dict) -> Task:
                 raise ValueError("every target needs an 'id' field")
             position = entry.get("position")
             ik_solutions = entry.get("ik_solutions")
-            if position is None and ik_solutions is None:
-                raise ValueError(f"target {entry['id']} has neither position nor ik_solutions")
             styles.add((position is not None, ik_solutions is not None))
             targets.append(
                 TaskTarget(
                     id=_integer_field(entry["id"], "id"),
                     position=position,
-                    ik_solutions=None if ik_solutions is None else tuple(ik_solutions),
+                    ik_solutions=ik_solutions,
                 )
             )
         task = Task(robot=robot, home=home, targets=tuple(targets))

@@ -15,13 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, Configuration, RobotModel
+from .model import TWO_PI, Configuration, RobotModel, _configurations
 
 #: Two joint vectors closer than this in max-norm are the same solution.
 DUPLICATE_TOL = 1e-9
 
 #: Slack when deciding whether a wrist point lies inside the 2R annulus.
 REACH_TOL = 1e-12
+
+#: Most orientations a grid may hold (pi/12 gives 24). A finer step is refused
+#: before anything is built, so validating a step size stays cheap.
+_MAX_GRID_COUNT = 10_000
 
 
 def wrap_angle(angle: float) -> float:
@@ -43,10 +47,13 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class IkSolutionSet:
-    """All joint configurations found for one target (deduplicated)."""
+    """One target's deduplicated configurations, as a read-only float (m, dof) array."""
 
     target_id: int
-    solutions: tuple[Configuration, ...]
+    solutions: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "solutions", _configurations(self.solutions))
 
     @property
     def count(self) -> int:
@@ -111,8 +118,11 @@ def theta_grid(step_size: float) -> list:
     """Orientation grid {k * step : k = 0 .. 2*pi/step - 1}; step must divide 2*pi."""
     if not 0.0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    if not math.isfinite(TWO_PI / step_size):
-        raise ValueError(f"step_size {step_size} is too small: 2*pi/step overflows")
+    if TWO_PI / step_size > _MAX_GRID_COUNT:  # also true when 2*pi/step overflows
+        raise ValueError(
+            f"step_size {step_size} is too small: the grid would exceed "
+            f"{_MAX_GRID_COUNT} orientations"
+        )
     count = round(TWO_PI / step_size)
     if count < 1 or abs(count * step_size - TWO_PI) > 1e-12:
         raise ValueError(f"step_size {step_size} does not divide 2*pi")
@@ -133,7 +143,7 @@ def ik_targets(
     for theta in theta_grid(step_size):
         for q in ik_3r(arm, Pose2D(x=x, y=y, theta=wrap_angle(theta))):
             _keep_if_new(solutions, q)
-    return IkSolutionSet(target_id=target_id, solutions=tuple(solutions))
+    return IkSolutionSet(target_id=target_id, solutions=solutions)
 
 
 def jacobian(arm: RobotModel, q: Configuration) -> np.ndarray:

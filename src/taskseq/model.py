@@ -21,7 +21,8 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_PLANAR_LINKS = (1.0, 0.8, 0.5)
 
 #: A joint configuration is a 1-D float array of length ``robot.dof`` (radians,
-#: unwrapped: q and q + 2*pi are distinct points).
+#: unwrapped: q and q + 2*pi are distinct points); a set of m configurations is
+#: one read-only float (m, dof) array.
 Configuration = np.ndarray
 
 #: A validation report is a list of human-readable violation strings; an empty
@@ -36,6 +37,22 @@ class GuardError(RuntimeError):
 def _vector(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     return np.atleast_1d(arr)
+
+
+def _configurations(rows):
+    """Rows as one read-only float (m, dof) array; ragged rows stay one vector each."""
+    try:
+        stack = np.asarray(rows, dtype=float)
+    except ValueError:  # ragged rows: validate_task names each bad one
+        return tuple(_vector(q) for q in rows)
+    if stack.ndim == 0:
+        raise TypeError(f"a configuration set must be a sequence of rows, got {rows!r}")
+    if stack is rows and stack.flags.writeable:  # copy a caller's array, never freeze it
+        stack = stack.copy()
+    if stack.ndim == 1:  # scalar rows, or no rows at all
+        stack = stack[:, None]
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
@@ -77,21 +94,20 @@ def planar_arm(links=DEFAULT_PLANAR_LINKS, vel_max=None, acc_max=None) -> RobotM
 class TaskTarget:
     """A single task-space target.
 
-    Carries an explicit list of reaching configurations, a planar position to
-    be solved later, or both (positions drive the task-space tour, explicit
-    configurations the selection stage).
+    Carries reaching configurations (a read-only float (m, dof) array), a
+    planar position to be solved later, or both (positions drive the
+    task-space tour, configurations the selection stage).
     """
 
     id: int
     position: np.ndarray | None = None
-    ik_solutions: tuple[np.ndarray, ...] | None = None
+    ik_solutions: np.ndarray | None = None
 
     def __post_init__(self):
         if self.position is not None:
             object.__setattr__(self, "position", _vector(self.position))
         if self.ik_solutions is not None:
-            sols = tuple(_vector(q) for q in self.ik_solutions)
-            object.__setattr__(self, "ik_solutions", sols)
+            object.__setattr__(self, "ik_solutions", _configurations(self.ik_solutions))
 
 
 @dataclass(frozen=True)
@@ -130,15 +146,6 @@ def _check_vector(report: list, vec, name: str, dof: int, positive: bool) -> Non
         report.append(f"{name} entries must be strictly positive")
 
 
-def _finite_stack(configurations, dof: int) -> bool:
-    """True when every configuration is a finite vector of ``dof`` entries (one array pass)."""
-    try:
-        stack = np.array(configurations, dtype=float)
-    except ValueError:  # configurations of different shapes
-        return False
-    return stack.shape == (len(configurations), dof) and bool(np.all(np.isfinite(stack)))
-
-
 def validate_task(task: Task) -> ValidationReport:
     """Collect every invariant violation in ``task``; an empty report means valid.
 
@@ -160,10 +167,7 @@ def validate_task(task: Task) -> ValidationReport:
     _check_vector(report, robot.weights, "weights", robot.dof, positive=True)
     _check_vector(report, robot.planar_links, "planar_links", robot.dof, positive=True)
 
-    if task.home.size != robot.dof:
-        report.append(f"home length mismatch: expected {robot.dof}, got {task.home.size}")
-    elif not np.all(np.isfinite(task.home)):
-        report.append("home contains non-finite entries")
+    _check_vector(report, task.home, "home", robot.dof, positive=False)
 
     if task.n < 1:
         report.append("task must contain at least one target")
@@ -175,12 +179,15 @@ def validate_task(task: Task) -> ValidationReport:
 
     for target in task.targets:
         name = f"target {target.id}"
-        if target.ik_solutions is not None:
-            if len(target.ik_solutions) == 0:
+        sols = target.ik_solutions
+        if sols is not None:
+            if len(sols) == 0:
                 report.append(f"{name} has an empty ik_solutions list")
-            elif not _finite_stack(target.ik_solutions, robot.dof):
-                # The one-pass check failed: name every configuration at fault.
-                for k, q in enumerate(target.ik_solutions):
+            elif not (isinstance(sols, np.ndarray) and sols.shape[1:] == (robot.dof,)
+                      and np.all(np.isfinite(sols))):
+                # Not a finite (m, dof) array: name every configuration at fault.
+                faults = len(report)
+                for k, q in enumerate(sols):
                     if q.size != robot.dof:
                         report.append(
                             f"{name} ik_solutions[{k}] length mismatch: "
@@ -188,6 +195,8 @@ def validate_task(task: Task) -> ValidationReport:
                         )
                     elif not np.all(np.isfinite(q)):
                         report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
+                if len(report) == faults:  # rows of dof entries, but not all flat
+                    report.append(f"{name} ik_solutions rows must be flat lists of numbers")
         elif target.position is None:
             report.append(f"{name} has neither a position nor ik_solutions")
 
@@ -248,7 +257,7 @@ def generate_random_task(n: int, m_max: int, seed: int, mode: str = "explicit_ik
         for i in range(n):
             position = rng.uniform(0.0, 1.0, size=2)
             m = int(rng.integers(1, m_max + 1))
-            sols = tuple(rng.uniform(-math.pi, math.pi, size=(m, dof)))
+            sols = rng.uniform(-math.pi, math.pi, size=(m, dof))
             targets.append(TaskTarget(id=i, position=position, ik_solutions=sols))
         return Task(robot=robot, home=home, targets=tuple(targets))
 

@@ -89,10 +89,7 @@ def resolve_ik_sets(task: Task, step_size: float) -> list[IkSolutionSet]:
     sets = []
     for target in task.targets:
         if target.ik_solutions is not None:
-            entry = IkSolutionSet(
-                target_id=target.id,
-                solutions=tuple(np.asarray(q, dtype=float) for q in target.ik_solutions),
-            )
+            entry = IkSolutionSet(target_id=target.id, solutions=target.ik_solutions)
         elif target.position is not None:
             entry = ik_targets(task.robot, target.position, step_size, target_id=target.id)
         else:
@@ -257,10 +254,9 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     config, params, ik_sets, marks = _start_stages(task, config)
 
     fixed = manipulability_choice(task, ik_sets)
-    chosen_configs = np.vstack([ik_sets[i].solutions[fixed[i]] for i in range(task.n)])
-    nodes = chosen_configs
+    nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
     if config.include_home_depot:
-        nodes = np.vstack([chosen_configs, np.asarray(task.home, dtype=float)])
+        nodes.append(task.home)
     dm_cspace = pairwise_cost(config.metric, params, nodes, nodes)
     cycle = _solve_cycle(dm_cspace, config)
     order = _visit_order(cycle, task.n, config.include_home_depot)

@@ -62,13 +62,15 @@ def _square_matrix(dm: np.ndarray) -> np.ndarray:
     return dm
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> np.ndarray:
     """Euclidean distance matrix over the task's target positions.
 
     With ``include_home_depot`` an extra node (index n) anchors the tour at
     the robot's rest point: the end-effector position of the home
     configuration for the planar arm, or the centroid of the targets when
-    configurations are explicit.
+    configurations are explicit. Raises ``ValueError`` when a distance is not
+    finite (positions so far apart that it overflows).
     """
     positions = []
     for target in task.targets:
@@ -83,7 +85,10 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
         else:
             depot = points.mean(axis=0)
         points = np.vstack([points, depot])
-    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    dm = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    if not np.all(np.isfinite(dm)):
+        raise ValueError("target distances overflow: positions are too far apart")
+    return dm
 
 
 def tour_cost(dm: np.ndarray, tour: TourOrder) -> float:

@@ -159,7 +159,7 @@ def test_adding_a_solution_never_increases_cost():
         extended = list(sets)
         extended[layer] = IkSolutionSet(
             target_id=sets[layer].target_id,
-            solutions=sets[layer].solutions + (rng.uniform(-math.pi, math.pi, 6),),
+            solutions=np.vstack([sets[layer].solutions, rng.uniform(-math.pi, math.pi, 6)]),
         )
         richer = shortest_selection(build_layered_graph(home, extended, EUCLID, params))
         assert richer.total_cost <= base.total_cost + 1e-12

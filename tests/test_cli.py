@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ def test_task_to_dict_writes_the_per_value_bytes():
     ]))
     for task in tasks:
         assert json.dumps(task_to_dict(task)) == json.dumps(_task_to_dict_per_value(task))
+
+
+@pytest.mark.parametrize("mode", ["explicit_ik", "planar"])
+def test_task_file_round_trip_keeps_every_configuration_byte(mode):
+    for seed in range(10):
+        task = generate_random_task(1 + seed, 1 + 3 * seed, seed, mode)
+        parsed = task_from_dict(json.loads(json.dumps(task_to_dict(task))))
+        assert parsed.home.tobytes() == task.home.tobytes()
+        for before, after in zip(task.targets, parsed.targets, strict=True):
+            assert after.position.tobytes() == before.position.tobytes()
+            if before.ik_solutions is None:
+                assert after.ik_solutions is None
+            else:
+                stack = np.asarray(before.ik_solutions)
+                assert np.asarray(after.ik_solutions).shape == stack.shape
+                assert np.asarray(after.ik_solutions).tobytes() == stack.tobytes()
 
 
 def test_generate_is_byte_identical(tmp_path):
@@ -255,6 +272,35 @@ def test_invalid_task_file_exits_1(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["solve", "--task", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     assert "home length mismatch" in capsys.readouterr().err
+
+
+def test_target_with_neither_field_is_named_by_the_validation_report(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"robot": {"dof": 2}, "home": [0.0, 0.0], "targets": [{"id": 0}]}),
+                   encoding="utf-8")
+    assert main(["solve", "--task", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid task:\n  target 0 has neither a position nor ik_solutions\n"
+    )
+
+
+def test_overflowing_distances_exit_1_without_a_result(tmp_path, capsys):
+    # The targets are 1e307 apart, but the depot (their centroid) and the
+    # squares inside the Euclidean norm overflow.
+    bad = tmp_path / "far.json"
+    bad.write_text(json.dumps({
+        "robot": {"dof": 2}, "home": [0.0, 0.0],
+        "targets": [{"id": 0, "position": [1.5e308, 0.0], "ik_solutions": [[0.1, 0.2]]},
+                    {"id": 1, "position": [1.6e308, 0.0], "ik_solutions": [[0.3, 0.4]]}],
+    }), encoding="utf-8")
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", "--task", str(bad), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _task_doc(robot=None, target=None, **fields):

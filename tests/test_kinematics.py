@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,18 @@ def test_theta_grid_accepts_exact_divisors_only():
         theta_grid(1.0)
     with pytest.raises(ValueError):
         theta_grid(-math.pi)
+
+
+def test_theta_grid_refuses_a_huge_grid_before_building_it():
+    # pi/1e8 divides 2*pi with a count of 2e8; the refusal must come first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too small"):
+            theta_grid(math.pi / 100000000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ik_targets_counts_near_center():

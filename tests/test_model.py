@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from taskseq.kinematics import IkSolutionSet
 from taskseq.model import (
     RobotModel,
     Task,
@@ -107,6 +109,74 @@ def test_every_faulty_configuration_is_reported():
         "target 2 ik_solutions[0] length mismatch: expected 3, got 2",
         "target 2 ik_solutions[1] length mismatch: expected 3, got 2",
     ]
+
+
+def _per_row_messages(rows, dof):
+    """The report of the per-row form each configuration used to be stored in."""
+    vectors = tuple(np.atleast_1d(np.asarray(q, dtype=float)) for q in rows)
+    if len(vectors) == 0:
+        return ["target 0 has an empty ik_solutions list"]
+    report = []
+    for k, q in enumerate(vectors):
+        if q.size != dof:
+            report.append(f"target 0 ik_solutions[{k}] length mismatch: "
+                          f"expected {dof}, got {q.size}")
+        elif not np.all(np.isfinite(q)):
+            report.append(f"target 0 ik_solutions[{k}] contains non-finite entries")
+    return report
+
+
+_JOINT_VALUES = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+)
+_SCALAR_ROWS = st.lists(_JOINT_VALUES, max_size=5)
+_VECTOR_ROWS = st.integers(0, 5).flatmap(
+    lambda width: st.lists(
+        st.one_of(
+            st.lists(_JOINT_VALUES, min_size=width, max_size=width),  # one width
+            st.lists(_JOINT_VALUES, max_size=5),  # ragged or wrong width
+        ),
+        max_size=5,
+    )
+)
+
+
+@given(
+    dof=st.integers(1, 4),
+    rows=st.one_of(_SCALAR_ROWS, _VECTOR_ROWS),
+    as_arrays=st.booleans(),
+)
+def test_stored_sets_report_like_the_per_row_form(dof, rows, as_arrays):
+    if as_arrays:
+        rows = tuple(np.asarray(q, dtype=float) for q in rows)
+    robot = RobotModel(dof=dof, vel_max=np.ones(dof), acc_max=np.ones(dof))
+    task = Task(robot=robot, home=np.zeros(dof), targets=[TaskTarget(id=0, ik_solutions=rows)])
+    assert validate_task(task) == _per_row_messages(rows, dof)
+
+
+@pytest.mark.parametrize(
+    "rows, dof", [([[[0.1, 0.2]]], 2), ([0.1, [0.2]], 1)], ids=["nested", "mixed"]
+)
+def test_rows_that_are_not_flat_lists_are_reported(rows, dof):
+    # Each row has dof entries, but the rows do not form an (m, dof) array.
+    robot = RobotModel(dof=dof, vel_max=np.ones(dof), acc_max=np.ones(dof))
+    task = Task(robot=robot, home=np.zeros(dof), targets=[TaskTarget(id=0, ik_solutions=rows)])
+    assert validate_task(task) == ["target 0 ik_solutions rows must be flat lists of numbers"]
+
+
+def test_configuration_sets_are_read_only_arrays():
+    rows = np.array([[0.1, 0.2], [0.3, 0.4]])
+    target = TaskTarget(id=0, ik_solutions=rows)
+    entry = IkSolutionSet(0, (np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+    for stored in (target.ik_solutions, entry.solutions):
+        assert stored.shape == (2, 2) and stored.dtype == float
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0, 0] = 1.0
+    assert rows.flags.writeable  # the caller's array is copied, not frozen
+
+
+def test_scalar_rows_are_one_entry_configurations():
+    assert TaskTarget(id=0, ik_solutions=[2.0, 3.0]).ik_solutions.shape == (2, 1)
 
 
 def test_nonpositive_limit_is_reported():

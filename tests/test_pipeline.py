@@ -56,6 +56,12 @@ def test_pipeline_against_both_oracles():
     assert result.selection.chosen == oracle.chosen
 
 
+def test_explicit_configurations_reach_the_solution_set_without_a_copy():
+    task = generate_random_task(4, 5, seed=3, mode="explicit_ik")
+    for target, entry in zip(task.targets, resolve_ik_sets(task, COARSE.step_size)):
+        assert entry.solutions is target.ik_solutions
+
+
 def test_pipeline_errors_before_step1_on_empty_ik():
     robot = RobotModel(dof=2, vel_max=[1.0, 1.0], acc_max=[1.0, 1.0])
     task = Task(
