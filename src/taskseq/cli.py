@@ -8,9 +8,9 @@ Subcommands::
     taskseq benchmark  sweep one axis (solver, metric, step size, method) to CSV
 
 Exit codes: 0 on success or MATCH, 1 on failure or MISMATCH, 2 on usage
-errors. A guard refusal exits 2 under ``oracle`` and 1 (a failure) under the
-other subcommands. All randomness enters through ``--seed``; files are
-written atomically (temp file plus rename) with LF line endings.
+errors. Whatever keeps ``oracle`` from a verdict (a guard refusal, a missing or
+invalid task file) exits 2 there and 1 elsewhere. All randomness enters through
+``--seed``; files are written atomically (temp file plus rename) with LF endings.
 """
 
 from __future__ import annotations
@@ -348,10 +348,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except GuardError as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
-        return 2 if args.command == "oracle" else 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 2 if args.command == "oracle" else 1  # oracle keeps 1 for MISMATCH
 
 
 if __name__ == "__main__":

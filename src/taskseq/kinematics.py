@@ -3,9 +3,9 @@
 The arm is a chain of revolute joints in the plane. Point targets leave the
 tool orientation free; that free angle is discretized on a grid, and each grid
 value poses a full inverse-kinematics problem with the familiar discrete
-elbow-up / elbow-down branching. Solutions found across the grid are pooled
+elbow-up / elbow-down branching. Solutions of all grid orientations are pooled
 per target, which is exactly the multi-configuration structure the sequencing
-pipeline consumes.
+pipeline consumes; distinct orientations never share a configuration.
 """
 
 from __future__ import annotations
@@ -78,10 +78,29 @@ def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
     return Pose2D(x=x, y=y, theta=wrap_angle(float(angles[-1])))
 
 
-def _keep_if_new(kept: list, q: np.ndarray) -> None:
-    """Duplicate rule: append ``q`` unless it lies within DUPLICATE_TOL (max-norm) of a kept pose."""
-    if not kept or not np.any(np.max(np.abs(np.asarray(kept) - q), axis=1) <= DUPLICATE_TOL):
-        kept.append(q)
+def _ik_3r_rows(arm: RobotModel, x: float, y: float, thetas) -> list:
+    """3R solutions reaching (x, y) at each orientation in ``thetas``, as (q1, q2, q3) tuples.
+
+    Per orientation, elbow-up comes first; elbow-down is dropped when it lies within
+    DUPLICATE_TOL (max-norm) of it. Scalar ``math`` calls only: numpy rounds differently.
+    """
+    links = _links(arm)
+    if links.size != 3:
+        raise ValueError(f"ik_3r needs a 3-link arm, got {links.size} links")
+    l1, l2, l3 = (float(v) for v in links)
+    rows: list = []
+    for theta in thetas:
+        wx, wy = x - l3 * math.cos(theta), y - l3 * math.sin(theta)
+        c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+        if c2 > 1.0 + REACH_TOL or c2 < -1.0 - REACH_TOL:
+            continue
+        elbow, wrist = math.acos(min(1.0, max(-1.0, c2))), math.atan2(wy, wx)
+        for k, q2 in enumerate((-elbow, elbow)):  # elbow-up first
+            q1 = wrap_angle(wrist - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2)))
+            q = (q1, wrap_angle(q2), wrap_angle(theta - q1 - q2))
+            if k == 0 or not all(abs(a - b) <= DUPLICATE_TOL for a, b in zip(q, rows[-1])):
+                rows.append(q)
+    return rows
 
 
 def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
@@ -93,25 +112,7 @@ def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
     a normal outcome, not an error. Every returned configuration reproduces
     ``pose`` through :func:`forward_kinematics` to within 1e-9.
     """
-    links = _links(arm)
-    if links.size != 3:
-        raise ValueError(f"ik_3r needs a 3-link arm, got {links.size} links")
-    l1, l2, l3 = (float(v) for v in links)
-
-    wx = pose.x - l3 * math.cos(pose.theta)
-    wy = pose.y - l3 * math.sin(pose.theta)
-    c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    if c2 > 1.0 + REACH_TOL or c2 < -1.0 - REACH_TOL:
-        return []
-    elbow = math.acos(min(1.0, max(-1.0, c2)))
-
-    solutions: list = []
-    for q2 in (-elbow, elbow):  # elbow-up first
-        q1 = math.atan2(wy, wx) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
-        q1 = wrap_angle(q1)
-        q3 = wrap_angle(pose.theta - q1 - q2)
-        _keep_if_new(solutions, np.array([q1, wrap_angle(q2), q3]))
-    return solutions
+    return [np.array(q) for q in _ik_3r_rows(arm, pose.x, pose.y, [pose.theta])]
 
 
 def theta_grid(step_size: float) -> list:
@@ -134,16 +135,15 @@ def ik_targets(
 ) -> IkSolutionSet:
     """Pool the 3R solutions over the orientation grid for one point target.
 
-    The free tool orientation is swept over :func:`theta_grid`; all branches
-    found are concatenated and deduplicated (two orientations can hit the same
-    joint vector at workspace boundaries).
+    The free tool orientation is swept over :func:`theta_grid`, and the branches of
+    all orientations are concatenated in grid order. Only one orientation's branches
+    can coincide: q3 = wrap(theta - q1 - q2) makes q1 + q2 + q3 = theta (mod 2*pi) to
+    about 1e-15, so solutions within DUPLICATE_TOL on every joint have orientations
+    within about 3e-9, and grid orientations are at least 2*pi / 10,000 apart.
     """
     x, y = (float(v) for v in np.asarray(target_position, dtype=float))
-    solutions: list = []
-    for theta in theta_grid(step_size):
-        for q in ik_3r(arm, Pose2D(x=x, y=y, theta=wrap_angle(theta))):
-            _keep_if_new(solutions, q)
-    return IkSolutionSet(target_id=target_id, solutions=solutions)
+    rows = _ik_3r_rows(arm, x, y, [wrap_angle(theta) for theta in theta_grid(step_size)])
+    return IkSolutionSet(target_id=target_id, solutions=np.array(rows).reshape(-1, 3))
 
 
 def jacobian(arm: RobotModel, q: Configuration) -> np.ndarray:

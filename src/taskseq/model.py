@@ -1,9 +1,9 @@
 """Domain types for multi-target sequencing tasks, validation, and instance generation.
 
 A task bundles a robot description, a home configuration, and a list of
-targets. Each target is reachable either through an explicit list of joint
-configurations or through a planar position that is resolved to configurations
-downstream. All types are immutable value data; every operation here is pure.
+targets. Each target has a position, which the task-space tour orders, reached
+through explicit joint configurations or through planar IK solved downstream.
+All types are immutable value data; every operation here is pure.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class TaskTarget:
     """A single task-space target.
 
     Carries reaching configurations (a read-only float (m, dof) array), a
-    planar position to be solved later, or both (positions drive the
-    task-space tour, configurations the selection stage).
+    planar position to be solved later, or both. Positions drive the task-space
+    tour, so a valid task needs them; configurations drive the selection stage.
     """
 
     id: int
@@ -152,8 +152,8 @@ def validate_task(task: Task) -> ValidationReport:
     Violations are returned as data rather than raised, so a caller can report
     all problems of a malformed task file at once. Planar targets whose
     position lies outside the arm's reachable annulus (for every tool
-    orientation) are flagged as unreachable, and position-only targets need
-    the 3-link planar arm that the analytic IK solves.
+    orientation) are flagged as unreachable; every target needs the position the
+    tour orders, and position-only targets need the 3-link arm the IK solves.
     """
     report: list = []
     robot = task.robot
@@ -197,34 +197,29 @@ def validate_task(task: Task) -> ValidationReport:
                         report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
                 if len(report) == faults:  # rows of dof entries, but not all flat
                     report.append(f"{name} ik_solutions rows must be flat lists of numbers")
-        elif target.position is None:
-            report.append(f"{name} has neither a position nor ik_solutions")
-
-        if target.position is not None:
-            if target.position.size != 2:
-                report.append(f"{name} position must be a 2-D point")
-                continue
-            if not np.all(np.isfinite(target.position)):
-                report.append(f"{name} position contains non-finite entries")
-                continue
-            if target.ik_solutions is None:
-                if not robot.is_planar:
+        if target.position is None:
+            report.append(f"{name} has neither a position nor ik_solutions" if sols is None
+                          else f"{name} has ik_solutions but no position, which the tour needs")
+        elif target.position.size != 2:
+            report.append(f"{name} position must be a 2-D point")
+        elif not np.all(np.isfinite(target.position)):
+            report.append(f"{name} position contains non-finite entries")
+        elif sols is None:
+            if not robot.is_planar:
+                report.append(f"{name} has only a position but the robot has no planar links")
+            elif robot.planar_links.size != 3:
+                report.append(
+                    f"{name} has only a position but IK needs a 3-link planar arm, "
+                    f"got {robot.planar_links.size} links"
+                )
+            elif robot.planar_links.size == robot.dof:
+                inner, outer = planar_reach_interval(robot.planar_links)
+                dist = float(np.hypot(*target.position))
+                if dist > outer + 1e-12 or dist < inner - 1e-12:
                     report.append(
-                        f"{name} has only a position but the robot has no planar links"
+                        f"{name} unreachable: distance {dist:.6g} outside "
+                        f"workspace annulus [{inner:.6g}, {outer:.6g}]"
                     )
-                elif robot.planar_links.size != 3:
-                    report.append(
-                        f"{name} has only a position but IK needs a 3-link planar arm, "
-                        f"got {robot.planar_links.size} links"
-                    )
-                elif robot.planar_links.size == robot.dof:
-                    inner, outer = planar_reach_interval(robot.planar_links)
-                    dist = float(np.hypot(*target.position))
-                    if dist > outer + 1e-12 or dist < inner - 1e-12:
-                        report.append(
-                            f"{name} unreachable: distance {dist:.6g} outside "
-                            f"workspace annulus [{inner:.6g}, {outer:.6g}]"
-                        )
     return report
 
 

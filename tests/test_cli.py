@@ -198,6 +198,28 @@ def test_oracle_gtsp_guard_exits_2(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_oracle_without_a_task_file_reaches_no_verdict(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["oracle", "--task", str(missing), "--what", "step2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_configurations_without_positions_are_refused(tmp_path, capsys):
+    ik_only = tmp_path / "ik_only.json"
+    ik_only.write_text(json.dumps({
+        "robot": {"dof": 2}, "home": [0.0, 0.0],
+        "targets": [{"id": 0, "ik_solutions": [[0.1, 0.2]]},
+                    {"id": 1, "ik_solutions": [[0.3, 0.4]]}],
+    }), encoding="utf-8")
+    message = ("error: invalid task:\n"
+               "  target 0 has ik_solutions but no position, which the tour needs\n"
+               "  target 1 has ik_solutions but no position, which the tour needs\n")
+    assert main(["solve", "--task", str(ik_only), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["oracle", "--task", str(ik_only), "--what", "gtsp"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_benchmark_row_count_and_header(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["benchmark", "--axis", "metric", "--sizes", "5,7", "--repeats", "2",
@@ -256,7 +278,7 @@ def test_task_file_defaults_limits_to_one():
     doc = {
         "robot": {"dof": 2},
         "home": [0.0, 0.0],
-        "targets": [{"id": 0, "ik_solutions": [[0.1, 0.2]]}],
+        "targets": [{"id": 0, "position": [0.5, 0.5], "ik_solutions": [[0.1, 0.2]]}],
     }
     task = task_from_dict(doc)
     assert list(task.robot.vel_max) == [1.0, 1.0]

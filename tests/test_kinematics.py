@@ -15,7 +15,8 @@ from taskseq.kinematics import (
     theta_grid,
     wrap_angle,
 )
-from taskseq.model import planar_arm
+from taskseq.model import Task, TaskTarget, planar_arm
+from taskseq.pipeline import resolve_ik_sets
 
 ARM = planar_arm((1.0, 1.0, 1.0))
 
@@ -233,3 +234,32 @@ def test_ik_targets_match_the_pairwise_scan_bit_for_bit(k, offset, radius, step)
     got = ik_targets(arm, target, step).solutions
     want = _ik_targets_by_scan(arm, target, step)
     assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    links=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    reach=st.floats(0.0, 1.05),
+    angle=st.floats(-math.pi, math.pi),
+    step=st.sampled_from([math.pi, math.pi / 2, math.pi / 4, math.pi / 12, math.pi / 1000]),
+)
+def test_ik_targets_concatenate_the_branches_of_every_orientation(links, reach, angle, step):
+    # No pose of one grid orientation lies within DUPLICATE_TOL of a pose of
+    # another, so pooling drops nothing beyond each orientation's own branches.
+    arm = planar_arm(links)
+    x, y = reach * sum(links) * math.cos(angle), reach * sum(links) * math.sin(angle)
+    per_theta = [(theta, ik_3r(arm, Pose2D(x, y, theta)))
+                 for theta in (wrap_angle(t) for t in theta_grid(step))]
+    for theta, sols in per_theta:
+        for q in sols:  # the premise: q1 + q2 + q3 is the orientation
+            assert abs(wrap_angle(float(np.sum(q)) - theta)) <= 1e-12
+    want = np.array([q for _, sols in per_theta for q in sols]).reshape(-1, 3)
+    got = ik_targets(arm, (x, y), step).solutions
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_unreachable_target_has_an_empty_set_and_stops_the_pipeline():
+    assert ik_targets(ARM, (4.0, 0.0), math.pi / 2).solutions.shape == (0, 3)
+    task = Task(robot=ARM, home=np.zeros(3), targets=(TaskTarget(id=0, position=[4.0, 0.0]),))
+    with pytest.raises(ValueError, match="unreachable"):
+        resolve_ik_sets(task, math.pi / 2)

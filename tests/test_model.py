@@ -36,9 +36,18 @@ def test_minimal_valid_task_has_empty_report():
     task = Task(
         robot=robot,
         home=[0.0, 0.0],
-        targets=[TaskTarget(id=0, ik_solutions=(np.array([0.1, 0.2]),))],
+        targets=[TaskTarget(id=0, position=[0.5, 0.5], ik_solutions=(np.array([0.1, 0.2]),))],
     )
     assert validate_task(task) == []
+
+
+def test_configurations_without_a_position_are_reported():
+    robot = RobotModel(dof=2, vel_max=[1.0, 1.0], acc_max=[1.0, 1.0])
+    targets = [TaskTarget(id=k, ik_solutions=[[0.1, 0.2]]) for k in range(2)]
+    assert validate_task(Task(robot=robot, home=[0.0, 0.0], targets=targets)) == [
+        "target 0 has ik_solutions but no position, which the tour needs",
+        "target 1 has ik_solutions but no position, which the tour needs",
+    ]
 
 
 def test_home_length_mismatch_is_reported():
@@ -99,8 +108,8 @@ def test_every_faulty_configuration_is_reported():
     ragged = (np.zeros(3), np.zeros(2), np.array([0.0, np.nan, 0.0]), np.zeros(4), np.zeros(3))
     same_length = (np.zeros(3), np.array([np.inf, 0.0, 0.0]))
     all_short = (np.zeros(2), np.zeros(2))
-    targets = [TaskTarget(id=0, ik_solutions=ragged), TaskTarget(id=1, ik_solutions=same_length),
-               TaskTarget(id=2, ik_solutions=all_short)]
+    targets = [TaskTarget(id=k, position=[0.5, 0.5], ik_solutions=rows)
+               for k, rows in enumerate((ragged, same_length, all_short))]
     assert validate_task(Task(robot=robot, home=np.zeros(3), targets=targets)) == [
         "target 0 ik_solutions[1] length mismatch: expected 3, got 2",
         "target 0 ik_solutions[2] contains non-finite entries",
@@ -150,7 +159,8 @@ def test_stored_sets_report_like_the_per_row_form(dof, rows, as_arrays):
     if as_arrays:
         rows = tuple(np.asarray(q, dtype=float) for q in rows)
     robot = RobotModel(dof=dof, vel_max=np.ones(dof), acc_max=np.ones(dof))
-    task = Task(robot=robot, home=np.zeros(dof), targets=[TaskTarget(id=0, ik_solutions=rows)])
+    target = TaskTarget(id=0, position=[0.5, 0.5], ik_solutions=rows)
+    task = Task(robot=robot, home=np.zeros(dof), targets=[target])
     assert validate_task(task) == _per_row_messages(rows, dof)
 
 
@@ -160,7 +170,8 @@ def test_stored_sets_report_like_the_per_row_form(dof, rows, as_arrays):
 def test_rows_that_are_not_flat_lists_are_reported(rows, dof):
     # Each row has dof entries, but the rows do not form an (m, dof) array.
     robot = RobotModel(dof=dof, vel_max=np.ones(dof), acc_max=np.ones(dof))
-    task = Task(robot=robot, home=np.zeros(dof), targets=[TaskTarget(id=0, ik_solutions=rows)])
+    target = TaskTarget(id=0, position=[0.5, 0.5], ik_solutions=rows)
+    task = Task(robot=robot, home=np.zeros(dof), targets=[target])
     assert validate_task(task) == ["target 0 ik_solutions rows must be flat lists of numbers"]
 
 
