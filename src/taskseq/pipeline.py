@@ -144,11 +144,12 @@ def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]
     return chosen
 
 
-def _solve_cycle(dm: np.ndarray, config: PipelineConfig) -> TourOrder:
+def _solve_cycle(dm: np.ndarray, config: PipelineConfig, work: dict) -> TourOrder:
+    """Solve the tour with the configured solver; 2-opt writes its counters into ``work``."""
     if config.tsp_solver is SolverKind.EXACT:
         return tsp.solve_exact(dm)
     if config.tsp_solver is SolverKind.TWO_OPT:
-        return tsp.solve_2opt(dm)
+        return tsp.solve_2opt(dm, stats=work)
     restarts = min(max(config.rnn_restarts, 1), dm.shape[0])
     return tsp.solve_rnn(dm, restarts)
 
@@ -169,17 +170,18 @@ def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: boo
 
 
 def _start_stages(task: Task, config: PipelineConfig | None):
-    """Start the stage clock and resolve IK: ``(config, params, ik_sets, marks)``.
+    """Start the stage clock and resolve IK: ``(config, params, ik_sets, marks, work)``.
 
     ``marks`` holds the wall-clock time at each stage boundary; a runner
-    appends one mark after step 1 and one after step 2.
+    appends one mark after step 1 and one after step 2. ``work`` holds the
+    tour counters, zero unless step 1 runs 2-opt.
     """
     config = config or PipelineConfig()
     params = MetricParams.from_robot(task.robot)
     marks = [time.perf_counter()]
     ik_sets = resolve_ik_sets(task, config.step_size)
     marks.append(time.perf_counter())
-    return config, params, ik_sets, marks
+    return config, params, ik_sets, marks, dict.fromkeys(tsp.TOUR_COUNTERS, 0)
 
 
 def _finish_stages(
@@ -188,6 +190,7 @@ def _finish_stages(
     params: MetricParams,
     ik_sets: list[IkSolutionSet],
     marks: list[float],
+    work: dict,
     order: TourOrder,
     selection: cgraph.SelectionResult,
     step1_cost: float,
@@ -214,6 +217,7 @@ def _finish_stages(
             "n": task.n,
             "total_ik": sum(s.count for s in ik_sets),
             "edges": graph.edge_count,
+            **work,
         },
     )
 
@@ -224,10 +228,10 @@ def solve_sequence(task: Task, config: PipelineConfig | None = None) -> Pipeline
     Deterministic for a fixed ``(task, config)`` apart from the wall-clock
     timings (reported in milliseconds per stage).
     """
-    config, params, ik_sets, marks = _start_stages(task, config)
+    config, params, ik_sets, marks, work = _start_stages(task, config)
 
     dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
-    cycle = _solve_cycle(dm, config)
+    cycle = _solve_cycle(dm, config, work)
     order = _visit_order(cycle, task.n, config.include_home_depot)
     step1_cost = tsp.tour_cost(dm, cycle)
     marks.append(time.perf_counter())
@@ -238,7 +242,7 @@ def solve_sequence(task: Task, config: PipelineConfig | None = None) -> Pipeline
     marks.append(time.perf_counter())
 
     return _finish_stages(
-        "decoupled", task, params, ik_sets, marks, order, selection, step1_cost, graph
+        "decoupled", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
     )
 
 
@@ -251,14 +255,14 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     selection prices the frozen assignment in the same layered graph the main
     pipeline uses, so the two step-2 costs are directly comparable.
     """
-    config, params, ik_sets, marks = _start_stages(task, config)
+    config, params, ik_sets, marks, work = _start_stages(task, config)
 
     fixed = manipulability_choice(task, ik_sets)
     nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
     if config.include_home_depot:
         nodes.append(task.home)
     dm_cspace = pairwise_cost(config.metric, params, nodes, nodes)
-    cycle = _solve_cycle(dm_cspace, config)
+    cycle = _solve_cycle(dm_cspace, config, work)
     order = _visit_order(cycle, task.n, config.include_home_depot)
     step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
     marks.append(time.perf_counter())
@@ -271,7 +275,7 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     marks.append(time.perf_counter())
 
     return _finish_stages(
-        "cspace_tsp", task, params, ik_sets, marks, order, selection, step1_cost, graph
+        "cspace_tsp", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
     )
 
 
@@ -284,7 +288,7 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     per order, the optimal selection is found with the same layered-graph
     machinery the main pipeline uses, so its cost is exactly comparable.
     """
-    config, params, ik_sets, marks = _start_stages(task, config)
+    config, params, ik_sets, marks, work = _start_stages(task, config)
     marks.append(marks[-1])  # no step 1: the joint search is one indivisible step 2
 
     n = task.n
@@ -312,7 +316,7 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     marks.append(time.perf_counter())
 
     return _finish_stages(
-        "gtsp_exact", task, params, ik_sets, marks, order, selection, step1_cost, graph
+        "gtsp_exact", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
     )
 
 

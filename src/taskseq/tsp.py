@@ -1,16 +1,19 @@
 """Task-space tour solvers over a symmetric distance matrix.
 
 Three solvers with different cost/quality trade-offs: an exact dynamic
-program (bitmask over visited subsets, practical up to ~20 nodes), a
-first-improvement 2-exchange local search, and a repeated nearest-neighbor
-greedy construction. A brute-force permutation oracle backs the exact solver
-in tests and the verification command. All solvers are deterministic: ties
-break toward the lowest index everywhere.
+program (bitmask over visited subsets, practical up to ~20 nodes), a local
+search from one nearest-neighbor tour (2-exchanges and Or-opt segment moves
+over nearest-neighbor lists, then a full 2-exchange check), and a repeated
+nearest-neighbor greedy construction. A brute-force permutation oracle backs
+the exact solver in tests and the verification command. All solvers are
+deterministic; the exact, oracle and nearest-neighbor solvers break ties
+toward the lowest index.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +30,16 @@ BRUTE_FORCE_GUARD = 10
 
 #: An exchange must improve the tour by more than this to be applied.
 IMPROVEMENT_EPS = 1e-12
+
+#: Nearest neighbors per node that 2-opt and Or-opt try as new partners.
+NEIGHBORS = 16
+
+#: Distance-matrix rows handled at once by the neighbor lists and the full
+#: 2-exchange check, so neither builds an n x n temporary.
+ROW_BLOCK = 64
+
+#: Work counters ``solve_2opt`` reports through its ``stats`` argument.
+TOUR_COUNTERS = ("two_opt_moves", "or_opt_moves", "check_rounds")
 
 
 class SolverKind(str, Enum):
@@ -226,38 +239,225 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     return TourOrder(order[best] if costs[best] < np.inf else range(n))  # ... else identity
 
 
-def solve_2opt(dm: np.ndarray, initial: TourOrder | None = None) -> TourOrder:
-    """First-improvement 2-exchange local search on a closed cycle.
+def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
+    """The k nearest other nodes of every node, nearest first, and their distances.
 
-    Starts from ``initial`` (default: the best nearest-neighbor tour over all
-    start nodes) and repeatedly reverses the first segment whose endpoints
-    admit an improving exchange, scanning i ascending then j ascending, until
-    no exchange improves the tour. The result is 2-opt locally optimal and
-    never costlier than the initial tour.
+    Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held.
+    """
+    n = dm.shape[0]
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, ROW_BLOCK):
+        block = dm[start:start + ROW_BLOCK].copy()
+        rows = np.arange(len(block))
+        block[rows, start + rows] = np.nan  # ranks a node after every distance of its row
+        part = np.argpartition(block, k - 1, axis=1)[:, :k]
+        nearest = np.argsort(np.take_along_axis(block, part, axis=1), axis=1, kind="stable")
+        neighbors[start:start + ROW_BLOCK] = np.take_along_axis(part, nearest, axis=1)
+    return neighbors.tolist(), dm[np.arange(n)[:, None], neighbors].tolist()
+
+
+class _LocalSearch:
+    """Neighbor-list 2-opt and Or-opt on a cycle held as plain Python lists.
+
+    ``node`` maps tour positions to nodes and ``pos`` is its inverse. A node
+    popped from ``queue`` tries an Or-opt move and then a 2-exchange; a move
+    puts every node whose edges it changed back on the queue (don't-look bits).
+    """
+
+    def __init__(self, dm: np.ndarray, order, work: dict):
+        self.dist = memoryview(np.ascontiguousarray(dm))  # dist[i, j] is a Python float
+        self.n = len(order)
+        self.node = list(order)
+        self.pos = [0] * self.n
+        for p, v in enumerate(self.node):
+            self.pos[v] = p
+        self.neighbors, self.near = _neighbor_lists(dm, min(NEIGHBORS, self.n - 1))
+        self.queue = deque()
+        self.active = [False] * self.n
+        self.work = work
+        self.push(self.node)
+
+    def push(self, nodes) -> None:
+        for v in nodes:
+            if not self.active[v]:
+                self.active[v] = True
+                self.queue.append(v)
+
+    def run(self) -> None:
+        while self.queue:
+            a = self.queue.popleft()
+            self.active[a] = False
+            for move, counter in ((self.or_opt, "or_opt_moves"), (self.two_opt, "two_opt_moves")):
+                touched = move(a)
+                if touched:
+                    self.work[counter] += 1
+                    self.push(touched)
+                    break
+
+    def _write(self, start: int, nodes: list) -> None:
+        n, node, pos = self.n, self.node, self.pos
+        for p, v in enumerate(nodes, start):
+            p %= n
+            node[p] = v
+            pos[v] = p
+
+    def _span(self, start: int, length: int) -> list:
+        n, node = self.n, self.node
+        return [node[(start + t) % n] for t in range(length)]
+
+    def reverse(self, i: int, j: int) -> None:
+        """Reverse positions i..j (cyclic); the shorter side flips, the cycle is the same."""
+        length = (j - i) % self.n + 1
+        if 2 * length > self.n:
+            i, length = (j + 1) % self.n, self.n - length
+        self._write(i, self._span(i, length)[::-1])
+
+    def move(self, start: int, length: int, x: int, forward: bool) -> None:
+        """Move the segment at positions start.. between node x and its successor.
+
+        ``forward`` joins x to the segment's first node, else to its last. The
+        nodes on the shorter side between the segment and x shift over it.
+        """
+        segment = self._span(start, length)
+        if not forward:
+            segment.reverse()
+        ahead = (self.pos[x] - start - length) % self.n + 1  # nodes from the segment's end to x
+        behind = self.n - length - ahead
+        if ahead <= behind:
+            self._write(start, self._span(start + length, ahead) + segment)
+        else:
+            self._write(self.pos[x] + 1, segment + self._span(self.pos[x] + 1, behind))
+
+    def two_opt(self, a: int):
+        """Apply the first improving 2-exchange that joins ``a`` to a near neighbor.
+
+        Neighbors are tried nearest first while they are nearer than the
+        edge they would replace: a's successor edge, then its predecessor
+        edge. Returns the four endpoints, or None.
+        """
+        dist, n, node, pos = self.dist, self.n, self.node, self.pos
+        pa = pos[a]
+        for step in (1, -1):
+            b = node[(pa + step) % n]
+            d_ab = dist[a, b]
+            for c, d_ac in zip(self.neighbors[a], self.near[a]):
+                if not d_ac < d_ab:
+                    break
+                pc = pos[c]
+                d = node[(pc + step) % n]
+                if c == a or c == b or d == a:  # a's row may hold NaN, ranked with itself
+                    continue
+                if d_ac + dist[b, d] - d_ab - dist[c, d] < -IMPROVEMENT_EPS:
+                    if step == 1:
+                        self.reverse(pa + 1, pc)  # a c ... b d
+                    else:
+                        self.reverse(pa, pc - 1)  # b d ... a c
+                    return a, b, c, d
+        return None
+
+    def or_opt(self, a: int):
+        """Apply the first improving move of a 1-3 node segment that starts or ends at ``a``.
+
+        The segment goes next to a near neighbor c of either end, between c
+        and its successor or its predecessor, joined to c by that end.
+        Neighbors are tried while they are nearer than the removal gains.
+        Returns the nodes whose edges changed, or None.
+        """
+        dist, n, node, pos = self.dist, self.n, self.node, self.pos
+        pa = pos[a]
+        for offset, length in ((0, 1), (0, 2), (-1, 2), (0, 3), (-2, 3)):
+            if length > n - 3:
+                break
+            start = (pa + offset) % n
+            first, last = node[start], node[(start + length - 1) % n]
+            prev, nxt = node[start - 1], node[(start + length) % n]
+            gain = dist[prev, first] + dist[last, nxt] - dist[prev, nxt]
+            for end, other in ((first, last), (last, first))[:min(length, 2)]:
+                for c, d_ec in zip(self.neighbors[end], self.near[end]):
+                    if not d_ec < gain:
+                        break
+                    pc = pos[c]
+                    if (pc - start) % n < length:
+                        continue
+                    for step in (1, -1):
+                        y = node[(pc + step) % n]
+                        if (pos[y] - start) % n < length:
+                            continue
+                        if d_ec + dist[other, y] - dist[c, y] - gain < -IMPROVEMENT_EPS:
+                            x = c if step == 1 else y
+                            self.move(start, length, x, forward=(end == first) == (step == 1))
+                            return prev, nxt, first, last, c, y
+        return None
+
+
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf deltas are NaN and never improve
+def _improving_exchange(dm: np.ndarray, node: np.ndarray) -> tuple[int, int] | None:
+    """An improving 2-exchange of the cycle as edge positions (i, j), or None.
+
+    Edge i joins node[i] and node[i+1] (cyclically). Every pair of edges that
+    share no node is priced, ROW_BLOCK rows at a time; the best exchange of
+    the first block that has one is returned. NaN deltas never count.
+    """
+    n = len(node)
+    nxt = np.roll(node, -1)
+    edge = dm[node, nxt]
+    for start in range(0, n - 2, ROW_BLOCK):
+        rows = np.arange(start, min(start + ROW_BLOCK, n - 2))
+        cols = np.arange(start + 2, n)
+        delta = dm[node[rows, None], node[cols]] + dm[nxt[rows, None], nxt[cols]]
+        delta -= edge[rows, None]
+        delta -= edge[cols]
+        hit = (delta < -IMPROVEMENT_EPS) & (cols >= rows[:, None] + 2)
+        if start == 0:
+            hit[0, -1] = False  # edge n-1 ends where edge 0 starts
+        if hit.any():
+            i, j = np.unravel_index(np.argmin(np.where(hit, delta, np.inf)), hit.shape)
+            return int(rows[i]), int(cols[j])
+    return None
+
+
+def solve_2opt(
+    dm: np.ndarray, initial: TourOrder | None = None, stats: dict | None = None
+) -> TourOrder:
+    """2-exchange and Or-opt local search on a closed cycle.
+
+    Starts from ``initial`` (default: the nearest-neighbor tour from node 0).
+    A queue of active nodes (don't-look bits) drives the search: each node
+    tries Or-opt moves of a segment of 1-3 nodes that starts or ends at it,
+    then 2-exchanges that join it to one of its NEIGHBORS nearest nodes; a
+    move re-activates the nodes whose edges it changed. When the queue is
+    empty, every 2-exchange of the whole tour is checked; an improving one is
+    applied and the search resumes. Every move gains more than
+    IMPROVEMENT_EPS, so the result is 2-opt locally optimal and never
+    costlier than the initial tour. ``dm`` must be symmetric.
+
+    ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
+    (by the queue and by the full check), Or-opt moves, and full checks run.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
     if initial is None:
-        initial = solve_rnn(dm, n)
+        initial = solve_rnn(dm, 1)
     if sorted(initial.order) != list(range(n)):
         raise ValueError("initial tour must be a permutation of all nodes")
-    order = np.asarray(initial.order, dtype=np.intp)
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(1, n - 1):
-            a, b = order[i - 1], order[i]
-            tail = order[i:]
-            after = np.concatenate([order[i + 1:], order[:1]])
-            delta = dm[a, tail] + dm[b, after] - dm[a, b] - dm[tail, after]
-            hits = np.nonzero(delta < -IMPROVEMENT_EPS)[0]
-            if hits.size:
-                j = i + int(hits[0])
-                order[i:j + 1] = order[i:j + 1][::-1]
-                improved = True
+    work = dict.fromkeys(TOUR_COUNTERS, 0)
+    order = list(initial.order)
+    if n >= 4:
+        search = _LocalSearch(dm, order, work)
+        while True:
+            search.run()
+            work["check_rounds"] += 1
+            exchange = _improving_exchange(dm, np.array(search.node))
+            if exchange is None:
                 break
-    return TourOrder(tuple(int(v) for v in order), TourKind.CLOSED_CYCLE)
+            i, j = exchange
+            search.push([search.node[p % n] for p in (i, i + 1, j, j + 1)])  # its endpoints
+            search.reverse(i + 1, j)
+            work["two_opt_moves"] += 1
+        order = search.node
+    if stats is not None:
+        stats.update(work)
+    return TourOrder(order, TourKind.CLOSED_CYCLE)
 
 
 def open_order_from_cycle(cycle: TourOrder, depot: int) -> TourOrder:

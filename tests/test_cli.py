@@ -146,7 +146,10 @@ def test_solve_result_is_stable_modulo_timings(tmp_path):
     doc = _read_json(r1)
     assert doc["order"] == [0]
     assert doc["chosen"] == [0]
-    assert doc["counts"] == {"n": 1, "total_ik": 1, "edges": 2}
+    assert doc["counts"] == {
+        "n": 1, "total_ik": 1, "edges": 2,
+        "two_opt_moves": 0, "or_opt_moves": 0, "check_rounds": 0,
+    }
     assert doc["schedule_model"]
     assert doc["step1_cost"] >= 0.0 and doc["step2_cost"] >= 0.0
 

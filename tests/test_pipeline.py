@@ -17,7 +17,14 @@ from taskseq.pipeline import (
     resolve_ik_sets,
     solve_sequence,
 )
-from taskseq.tsp import SolverKind, brute_force_cycle, build_task_distance_matrix, tour_cost
+from taskseq.tsp import (
+    TOUR_COUNTERS,
+    SolverKind,
+    brute_force_cycle,
+    build_task_distance_matrix,
+    solve_2opt,
+    tour_cost,
+)
 
 COARSE = PipelineConfig(step_size=math.pi)  # keeps tiny instances inside all guards
 
@@ -35,7 +42,10 @@ def test_degenerate_single_target_pipeline():
     assert result.selection.chosen == (0,)
     # home 0 -> 2 -> 0 with unit limits: two trapezoidal moves of 3 s each
     assert result.schedule_duration == pytest.approx(6.0)
-    assert result.counts == {"n": 1, "total_ik": 1, "edges": 2}
+    assert result.counts == {
+        "n": 1, "total_ik": 1, "edges": 2,
+        "two_opt_moves": 0, "or_opt_moves": 0, "check_rounds": 0,  # a 2-node cycle has no move
+    }
 
 
 def test_pipeline_against_both_oracles():
@@ -183,8 +193,23 @@ def test_runners_report_the_same_timings_and_counts():
     results = [runner(task, COARSE)
                for runner in (solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact)]
     assert {tuple(r.timings) for r in results} == {("ik_ms", "step1_ms", "step2_ms", "step3_ms")}
-    assert {tuple(r.counts) for r in results} == {("n", "total_ik", "edges")}
+    assert {tuple(r.counts) for r in results} == {
+        ("n", "total_ik", "edges", "two_opt_moves", "or_opt_moves", "check_rounds")
+    }
     assert results[2].timings["step1_ms"] == 0.0
+
+
+def test_tour_counters_come_from_2opt_and_are_zero_for_other_solvers():
+    task = generate_random_task(40, 1, seed=5, mode="planar")
+    stats = {}
+    solve_2opt(build_task_distance_matrix(task), stats=stats)
+    assert stats["check_rounds"] >= 1
+    result = solve_sequence(task, COARSE)
+    assert {k: result.counts[k] for k in TOUR_COUNTERS} == stats
+    small = generate_random_task(5, 1, seed=5, mode="planar")
+    for solver in (SolverKind.EXACT, SolverKind.RNN):
+        counts = solve_sequence(small, PipelineConfig(step_size=math.pi, tsp_solver=solver)).counts
+        assert {k: counts[k] for k in TOUR_COUNTERS} == dict.fromkeys(TOUR_COUNTERS, 0)
 
 
 def test_gtsp_guards():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from taskseq.model import GuardError, generate_random_task, planar_arm, Task, TaskTarget
 from taskseq.kinematics import forward_kinematics
 from taskseq.tsp import (
+    TOUR_COUNTERS,
     TourKind,
     TourOrder,
     brute_force_cycle,
@@ -18,6 +19,7 @@ from taskseq.tsp import (
     solve_rnn,
     tour_cost,
 )
+from taskseq import tsp
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -43,6 +45,26 @@ def _has_improving_exchange(dm, tour):
             if tour_cost(dm, TourOrder(tuple(candidate))) < base - 1e-12:
                 return True
     return False
+
+
+def _exchange_deltas(dm, order, rows):
+    """Gain of exchanging edge i (order[i]-order[i+1]) with every later edge j, for i in rows."""
+    a = np.asarray(order)
+    b = np.roll(a, -1)
+    with np.errstate(invalid="ignore"):
+        return (dm[a[rows, None], a] + dm[b[rows, None], b]
+                - dm[a[rows], b[rows]][:, None] - dm[a, b])
+
+
+def _improving_exchange_count(dm, order, tol=1e-12):
+    """Vectorized O(n^2) count of 2-exchanges gaining more than ``tol``; NaN gains never count."""
+    n = len(order)
+    count = 0
+    for start in range(0, n, 256):
+        rows = np.arange(start, min(start + 256, n))
+        later = np.arange(n) > rows[:, None]
+        count += int(np.count_nonzero((_exchange_deltas(dm, order, rows) < -tol) & later))
+    return count
 
 
 def test_distance_matrix_345():
@@ -142,6 +164,87 @@ def test_2opt_is_locally_optimal_and_never_worse_than_initial():
         tour = solve_2opt(dm, initial)
         assert tour_cost(dm, tour) <= tour_cost(dm, initial) + 1e-12
         assert not _has_improving_exchange(dm, tour)
+
+
+def test_2opt_reports_its_work_and_leaves_tiny_tours_alone():
+    rng = np.random.default_rng(41)
+    dm = _euclidean_matrix(rng.uniform(0, 1, (60, 2)))
+    stats = {}
+    tour = solve_2opt(dm, stats=stats)
+    assert set(stats) == set(TOUR_COUNTERS)
+    assert stats["two_opt_moves"] + stats["or_opt_moves"] > 0
+    assert stats["check_rounds"] >= 1
+    assert solve_2opt(dm) == tour  # the counters change nothing
+    for n in (1, 2, 3):
+        stats = {}
+        assert solve_2opt(np.ones((n, n)), stats=stats).order == tuple(range(n))
+        assert stats == dict.fromkeys(TOUR_COUNTERS, 0)
+
+
+def _ring_with_a_blocked_node(n=12):
+    # A crossed ring: the exchange of edges 6 and 8 uncrosses it. Node 0 is at
+    # inf from every other node, so every exchange of an edge at node 0 is NaN.
+    angles = 2 * np.pi * np.arange(n) / n
+    dm = _euclidean_matrix(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    dm[0, 1:] = dm[1:, 0] = np.inf
+    order = list(range(n))
+    order[7], order[8] = order[8], order[7]
+    return dm, np.array(order)
+
+
+def test_full_exchange_check_skips_nan_gains():
+    dm, order = _ring_with_a_blocked_node()
+    assert tsp._improving_exchange(dm, order) == (6, 8)
+
+
+def test_2opt_with_an_infinite_distance_admits_no_finite_improving_exchange():
+    dm, order = _ring_with_a_blocked_node()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_exchange_deltas(dm, order, np.arange(1))[0, 2:-1]).all()
+    tour = solve_2opt(dm, TourOrder(order))
+    assert sorted(tour.order) == list(range(12))
+    assert _improving_exchange_count(dm, tour.order) == 0
+
+
+@st.composite
+def _planar_points(draw):
+    n = draw(st.integers(1, 60), label="n")
+    kind = draw(st.sampled_from(["grid", "collinear", "duplicates"]), label="kind")
+    if kind == "grid":  # repeated distances: ties everywhere
+        cells = st.tuples(st.integers(0, 6), st.integers(0, 6))
+        return draw(st.lists(cells, min_size=n, max_size=n))
+    if kind == "collinear":
+        xs = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+        slope = draw(st.sampled_from([0.0, 0.5, 3.0]))
+        return [(x, slope * x) for x in xs]
+    distinct = draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return [distinct[i] for i in picks]  # zero distances between copies
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=_planar_points(), data=st.data())
+def test_2opt_properties_on_grid_collinear_and_duplicate_points(points, data):
+    dm = _euclidean_matrix(points)
+    n = len(points)
+    initial = data.draw(st.none() | st.permutations(range(n)).map(TourOrder), label="initial")
+    tour = solve_2opt(dm, initial)
+    assert sorted(tour.order) == list(range(n))
+    assert _improving_exchange_count(dm, tour.order) == 0
+    # 1e-9: the costs below are sums taken in another order than the move gains
+    assert tour_cost(dm, tour) <= tour_cost(dm, solve_rnn(dm, 1)) + 1e-9 or initial is not None
+    if initial is not None:
+        assert tour_cost(dm, tour) <= tour_cost(dm, initial) + 1e-9
+    assert solve_2opt(dm, initial) == tour
+
+
+def test_2opt_at_2001_points_is_2opt_optimal_and_beats_its_seed():
+    # The old all-starts seed made this take minutes; no timing is asserted.
+    dm = _euclidean_matrix(np.random.default_rng(2001).uniform(0, 10, (2001, 2)))
+    tour = solve_2opt(dm)
+    assert sorted(tour.order) == list(range(2001))
+    assert _improving_exchange_count(dm, tour.order) == 0
+    assert tour_cost(dm, tour) <= tour_cost(dm, solve_rnn(dm, 1))
 
 
 def test_rnn_on_a_line():
