@@ -50,6 +50,11 @@ class LayeredGraph:
         between = sum(sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1))
         return sizes[0] + between + sizes[-1]
 
+    @property
+    def step_cost_bytes(self) -> int:
+        """Bytes held by the (m_i, m_{i+1}) blocks between consecutive layers."""
+        return sum(block.nbytes for block in self.step_costs)
+
 
 @dataclass(frozen=True)
 class SelectionResult:

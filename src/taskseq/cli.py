@@ -192,7 +192,11 @@ def save_json(path: str, doc: dict) -> None:
 
 def load_task(path: str) -> Task:
     with open(path, encoding="utf-8") as handle:
-        return task_from_dict(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"task file {path!r} nests too deeply to parse") from None
+    return task_from_dict(doc)
 
 
 def _format_csv_value(value) -> str:

@@ -12,8 +12,10 @@ interpolation duration is its obstacle-free surrogate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +48,17 @@ class MetricParams:
         if not (np.all(self.vel_max > 0.0) and np.all(self.acc_max > 0.0)):
             raise ValueError("vel_max and acc_max must be positive")
 
+    @cached_property
+    def speed_groups(self) -> tuple:
+        """Joint groups of equal ``vel_max``, each priced once by ``max_joint_difference``."""
+        return _group_joints((self.vel_max,), lambda vmax: True)
+
+    @cached_property
+    def trapezoid_groups(self) -> tuple:
+        """Joint groups of equal (``vel_max``, ``acc_max``), each priced once by
+        ``linear_interp_duration`` when the trapezoid formula is monotone for it."""
+        return _group_joints((self.vel_max, self.acc_max), _trapezoid_is_monotone)
+
     @classmethod
     def from_robot(cls, robot: RobotModel) -> "MetricParams":
         """Derive params from a robot; weights default to link reach (planar) or 1."""
@@ -62,22 +75,80 @@ class MetricParams:
 # block and a whole schedule run the same arithmetic and get the same bits.
 
 
-def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, *limits) -> np.ndarray:
-    """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, limits[0][k], ...)``.
+def _group_joints(limits, fold_ok) -> tuple:
+    """``((joints, limit_values), ...)``: the joints that share every limit, in
+    order of their first joint.
 
-    The max is folded in one joint at a time, so a graph block never holds
-    an (m_a, m_b, dof) array. A max is exact in any order and each joint's
-    formula runs elementwise, so the result has the bits of a reduction over
-    the full difference array. Callers check that ``a``, ``b`` and every
-    limit have the same number of joints.
+    A shared limit tuple for which ``fold_ok`` is false is split into one
+    group per joint, so its joints are priced one at a time.
+    """
+    members: dict = {}
+    for k, key in enumerate(zip(*(lim.tolist() for lim in limits))):
+        members.setdefault(key, []).append(k)
+    groups = []
+    for key, joints in members.items():
+        if len(joints) > 1 and not fold_ok(*key):
+            groups.extend(((k,), key) for k in joints)
+        else:
+            groups.append((tuple(joints), key))
+    return tuple(groups)
+
+
+def _trapezoid_is_monotone(vmax: float, amax: float) -> bool:
+    """True when ``_trapezoid_kernel(d, vmax, amax)`` never decreases as d grows.
+
+    Each branch is a chain of correctly rounded operations on d, so it is
+    monotone; the one place the formula can drop is where the short-move
+    branch hands over to the long-move one, at c = vmax * vmax / amax. So
+    f(prevfloat(c)) <= f(c) is the exact condition. It fails for some limits,
+    e.g. vmax=0.05407598572326695, amax=3.8795177930322358. The kernel's two
+    branches are written out in Python floats, which round like numpy's
+    float64 ufuncs and never warn (a test pins the two against each other).
+    When c == 0 every distance takes the long-move branch.
+    """
+    c = vmax * vmax / amax
+    if c == 0.0:
+        return True
+    below = math.nextafter(c, 0.0)
+    return 2.0 * math.sqrt(below / amax) <= c / vmax + vmax / amax
+
+
+def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
+    """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, *limits of k)``.
+
+    ``groups`` comes from :class:`MetricParams`: each group is a set of joints
+    that share their limits, and ``joint_cost`` is monotone non-decreasing in
+    the distance for those limits. For such a cost, max_k f(d_k) is exactly
+    f(max_k d_k), so the cost formula runs once per group, on the group's
+    largest distances. A max is exact in any order, so the result has the
+    bits of pricing every joint and reducing over the full cost array, and a
+    graph block never holds an (m_a, m_b, dof) array. Callers check that
+    ``a``, ``b`` and the limits have the same number of joints.
     """
     if a.shape[-1] == 0:
         raise ValueError("cannot price a move of zero joints")
-    out = np.asarray(joint_cost(np.abs(a[..., 0] - b[..., 0]), *(lim[0] for lim in limits)))
-    for k in range(1, a.shape[-1]):
-        cost = joint_cost(np.abs(a[..., k] - b[..., k]), *(lim[k] for lim in limits))
-        np.maximum(out, cost, out=out)
+    out = None
+    for joints, limits in groups:
+        cost = joint_cost(_max_distance(a, b, joints), *limits)
+        out = np.asarray(cost) if out is None else np.maximum(out, cost, out=out)
     return out
+
+
+def _max_distance(a: np.ndarray, b: np.ndarray, joints: tuple) -> np.ndarray:
+    """max over ``joints`` of |a[..., k] - b[..., k]|, folded through one reused buffer.
+
+    The buffer is freed on return, before the cost formula allocates its own.
+    """
+    dist = np.abs(a[..., joints[0]] - b[..., joints[0]])
+    if dist.ndim == 0:  # a single move: numpy scalars, no block to reuse
+        for k in joints[1:]:
+            dist = np.maximum(dist, np.abs(a[..., k] - b[..., k]))
+    elif len(joints) > 1:
+        scratch = np.empty_like(dist)
+        for k in joints[1:]:
+            np.abs(np.subtract(a[..., k], b[..., k], out=scratch), out=scratch)
+            np.maximum(dist, scratch, out=dist)
+    return dist
 
 
 def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
@@ -108,8 +179,8 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
         diff = a - b
         return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return _joint_max(a, b, np.divide, params.vel_max)
-    return _joint_max(a, b, _trapezoid_kernel, params.vel_max, params.acc_max)
+        return _joint_max(a, b, np.divide, params.speed_groups)
+    return _joint_max(a, b, _trapezoid_kernel, params.trapezoid_groups)
 
 
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:

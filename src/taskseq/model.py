@@ -30,6 +30,12 @@ Configuration = np.ndarray
 ValidationReport = list
 
 
+#: Largest magnitude of any number in a valid task, and the reciprocal of the
+#: smallest valid limit, weight or link length. Within this range no cost,
+#: distance or sum the pipeline forms can overflow.
+MAGNITUDE_LIMIT = 1e50
+
+
 class GuardError(RuntimeError):
     """An instance exceeds the size guard of an exact solver or oracle."""
 
@@ -134,16 +140,24 @@ def planar_reach_interval(links: np.ndarray) -> tuple[float, float]:
     return inner, total
 
 
+def _in_range(values: np.ndarray, low: float, high: float) -> bool:
+    """True when every value lies in [low, high]; a NaN never does."""
+    return bool(low <= values.min() and values.max() <= high)
+
+
 def _check_vector(report: list, vec, name: str, dof: int, positive: bool) -> None:
     if vec is None:
         return
     if vec.size != dof:
         report.append(f"{name} length mismatch: expected {dof}, got {vec.size}")
         return
+    low = 1.0 / MAGNITUDE_LIMIT if positive else -MAGNITUDE_LIMIT
     if not np.all(np.isfinite(vec)):
         report.append(f"{name} contains non-finite entries")
     elif positive and not np.all(vec > 0.0):
         report.append(f"{name} entries must be strictly positive")
+    elif not _in_range(vec, low, MAGNITUDE_LIMIT):
+        report.append(f"{name} entries must lie in [{low:g}, {MAGNITUDE_LIMIT:g}]")
 
 
 def validate_task(task: Task) -> ValidationReport:
@@ -184,8 +198,8 @@ def validate_task(task: Task) -> ValidationReport:
             if len(sols) == 0:
                 report.append(f"{name} has an empty ik_solutions list")
             elif not (isinstance(sols, np.ndarray) and sols.shape[1:] == (robot.dof,)
-                      and np.all(np.isfinite(sols))):
-                # Not a finite (m, dof) array: name every configuration at fault.
+                      and _in_range(sols, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT)):
+                # Not an in-range (m, dof) array: name every configuration at fault.
                 faults = len(report)
                 for k, q in enumerate(sols):
                     if q.size != robot.dof:
@@ -195,6 +209,11 @@ def validate_task(task: Task) -> ValidationReport:
                         )
                     elif not np.all(np.isfinite(q)):
                         report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
+                    elif not _in_range(q, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT):
+                        report.append(
+                            f"{name} ik_solutions[{k}] entries must lie in "
+                            f"[{-MAGNITUDE_LIMIT:g}, {MAGNITUDE_LIMIT:g}]"
+                        )
                 if len(report) == faults:  # rows of dof entries, but not all flat
                     report.append(f"{name} ik_solutions rows must be flat lists of numbers")
         if target.position is None:
@@ -202,8 +221,12 @@ def validate_task(task: Task) -> ValidationReport:
                           else f"{name} has ik_solutions but no position, which the tour needs")
         elif target.position.size != 2:
             report.append(f"{name} position must be a 2-D point")
-        elif not np.all(np.isfinite(target.position)):
-            report.append(f"{name} position contains non-finite entries")
+        elif not _in_range(target.position, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT):
+            report.append(
+                f"{name} position entries must lie in [{-MAGNITUDE_LIMIT:g}, {MAGNITUDE_LIMIT:g}]"
+                if np.all(np.isfinite(target.position))
+                else f"{name} position contains non-finite entries"
+            )
         elif sols is None:
             if not robot.is_planar:
                 report.append(f"{name} has only a position but the robot has no planar links")

@@ -217,6 +217,8 @@ def _finish_stages(
             "n": task.n,
             "total_ik": sum(s.count for s in ik_sets),
             "edges": graph.edge_count,
+            "vertices": graph.vertex_count,
+            "step_cost_bytes": graph.step_cost_bytes,
             **work,
         },
     )

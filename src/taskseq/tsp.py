@@ -28,8 +28,14 @@ EXACT_GUARD = 20
 #: Node-count guard for the permutation oracle ((n-1)!/2 cycles enumerated).
 BRUTE_FORCE_GUARD = 10
 
-#: An exchange must improve the tour by more than this to be applied.
+#: An exchange must improve the tour by more than this to be applied ...
 IMPROVEMENT_EPS = 1e-12
+
+#: ... and by more than this fraction of the longest finite distance, which
+#: is far above the rounding error of a gain summed from six distances. So
+#: an applied move always shortens the tour, and moves never cycle, even
+#: where distances are too long for their differences to show.
+ROUNDING_SLACK = 2.0**-46
 
 #: Nearest neighbors per node that 2-opt and Or-opt try as new partners.
 NEIGHBORS = 16
@@ -264,8 +270,9 @@ class _LocalSearch:
     puts every node whose edges it changed back on the queue (don't-look bits).
     """
 
-    def __init__(self, dm: np.ndarray, order, work: dict):
+    def __init__(self, dm: np.ndarray, order, work: dict, tol: float):
         self.dist = memoryview(np.ascontiguousarray(dm))  # dist[i, j] is a Python float
+        self.tol = tol
         self.n = len(order)
         self.node = list(order)
         self.pos = [0] * self.n
@@ -347,7 +354,7 @@ class _LocalSearch:
                 d = node[(pc + step) % n]
                 if c == a or c == b or d == a:  # a's row may hold NaN, ranked with itself
                     continue
-                if d_ac + dist[b, d] - d_ab - dist[c, d] < -IMPROVEMENT_EPS:
+                if d_ac + dist[b, d] - d_ab - dist[c, d] < -self.tol:
                     if step == 1:
                         self.reverse(pa + 1, pc)  # a c ... b d
                     else:
@@ -383,7 +390,7 @@ class _LocalSearch:
                         y = node[(pc + step) % n]
                         if (pos[y] - start) % n < length:
                             continue
-                        if d_ec + dist[other, y] - dist[c, y] - gain < -IMPROVEMENT_EPS:
+                        if d_ec + dist[other, y] - dist[c, y] - gain < -self.tol:
                             x = c if step == 1 else y
                             self.move(start, length, x, forward=(end == first) == (step == 1))
                             return prev, nxt, first, last, c, y
@@ -391,8 +398,8 @@ class _LocalSearch:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # inf - inf deltas are NaN and never improve
-def _improving_exchange(dm: np.ndarray, node: np.ndarray) -> tuple[int, int] | None:
-    """An improving 2-exchange of the cycle as edge positions (i, j), or None.
+def _improving_exchange(dm: np.ndarray, node: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """A 2-exchange of the cycle that gains more than ``tol``, as edge positions (i, j), or None.
 
     Edge i joins node[i] and node[i+1] (cyclically). Every pair of edges that
     share no node is priced, ROW_BLOCK rows at a time; the best exchange of
@@ -407,7 +414,7 @@ def _improving_exchange(dm: np.ndarray, node: np.ndarray) -> tuple[int, int] | N
         delta = dm[node[rows, None], node[cols]] + dm[nxt[rows, None], nxt[cols]]
         delta -= edge[rows, None]
         delta -= edge[cols]
-        hit = (delta < -IMPROVEMENT_EPS) & (cols >= rows[:, None] + 2)
+        hit = (delta < -tol) & (cols >= rows[:, None] + 2)
         if start == 0:
             hit[0, -1] = False  # edge n-1 ends where edge 0 starts
         if hit.any():
@@ -428,8 +435,9 @@ def solve_2opt(
     move re-activates the nodes whose edges it changed. When the queue is
     empty, every 2-exchange of the whole tour is checked; an improving one is
     applied and the search resumes. Every move gains more than
-    IMPROVEMENT_EPS, so the result is 2-opt locally optimal and never
-    costlier than the initial tour. ``dm`` must be symmetric.
+    IMPROVEMENT_EPS and more than ROUNDING_SLACK times the longest finite
+    distance, so the result is 2-opt locally optimal and never costlier than
+    the initial tour. ``dm`` must be symmetric.
 
     ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
     (by the queue and by the full check), Or-opt moves, and full checks run.
@@ -443,11 +451,13 @@ def solve_2opt(
     work = dict.fromkeys(TOUR_COUNTERS, 0)
     order = list(initial.order)
     if n >= 4:
-        search = _LocalSearch(dm, order, work)
+        longest = float(np.max(dm, where=np.isfinite(dm), initial=0.0))
+        tol = max(IMPROVEMENT_EPS, ROUNDING_SLACK * longest)
+        search = _LocalSearch(dm, order, work, tol)
         while True:
             search.run()
             work["check_rounds"] += 1
-            exchange = _improving_exchange(dm, np.array(search.node))
+            exchange = _improving_exchange(dm, np.array(search.node), tol)
             if exchange is None:
                 break
             i, j = exchange

@@ -50,6 +50,7 @@ def test_vertex_and_edge_counts_for_232_shape():
     graph = build_layered_graph(np.zeros(2), sets, EUCLID, _unit_params(2))
     assert graph.vertex_count == 9       # 2 + 3 + 2 plus Start and Goal
     assert graph.edge_count == 16        # 2 + (2*3 + 3*2) + 2
+    assert graph.step_cost_bytes == 8 * (2 * 3 + 3 * 2)  # float64 step blocks only
 
 
 def test_smallest_graph():
@@ -57,6 +58,7 @@ def test_smallest_graph():
     graph = build_layered_graph(np.zeros(2), sets, EUCLID, _unit_params(2))
     assert graph.vertex_count == 3
     assert graph.edge_count == 2
+    assert graph.step_cost_bytes == 0
 
 
 def test_count_formulas_on_random_shapes():

@@ -147,7 +147,7 @@ def test_solve_result_is_stable_modulo_timings(tmp_path):
     assert doc["order"] == [0]
     assert doc["chosen"] == [0]
     assert doc["counts"] == {
-        "n": 1, "total_ik": 1, "edges": 2,
+        "n": 1, "total_ik": 1, "edges": 2, "vertices": 3, "step_cost_bytes": 0,
         "two_opt_moves": 0, "or_opt_moves": 0, "check_rounds": 0,
     }
     assert doc["schedule_model"]
@@ -205,6 +205,15 @@ def test_oracle_without_a_task_file_reaches_no_verdict(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["oracle", "--task", str(missing), "--what", "step2"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_task_file_nested_too_deeply_exits_cleanly(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000, encoding="utf-8")
+    assert main(["solve", "--task", str(deep), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["oracle", "--task", str(deep), "--what", "step2"]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_configurations_without_positions_are_refused(tmp_path, capsys):

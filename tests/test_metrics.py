@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from taskseq.metrics import (
     MetricKind,
     MetricParams,
+    _trapezoid_is_monotone,
+    _trapezoid_kernel,
     default_weights,
     edge_cost,
     linear_interp_duration,
@@ -202,6 +205,105 @@ def test_pairwise_cost_matches_the_full_difference_array(kind, dof, data):
         expected = _full_difference_cost(kind, params, a, b)
         table = pairwise_cost(kind, params, a, b)
     assert np.array_equal(table, expected, equal_nan=True)
+
+
+# The trapezoid formula drops across its branch point c = vmax^2/amax for
+# these limits: f(prevfloat(c)) > f(c), so their joints must not be grouped.
+_NON_MONOTONE = (0.05407598572326695, 3.8795177930322358)
+_LIMIT_POOL = [_NON_MONOTONE, (1.0, 1.0), (0.5, 2.0), (2.0, 0.5)]
+_MAX_KINDS = [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION]
+
+
+def _around(c):
+    """c, prevfloat(c), the float below that, nextfloat(c), and their negatives."""
+    below = math.nextafter(c, 0.0)
+    values = [c, below, math.nextafter(below, 0.0), math.nextafter(c, math.inf)]
+    return values + [-v for v in values]
+
+
+@st.composite
+def _grouped_stacks(draw):
+    """Limits drawn from a small pool, so joints share them; moves of zero, on
+    c and next to it, or anywhere."""
+    dof = draw(st.integers(1, 6))
+    if draw(st.booleans()):  # every joint in one group
+        pairs = [draw(st.sampled_from(_LIMIT_POOL))] * dof
+    else:
+        pairs = draw(st.lists(st.sampled_from(_LIMIT_POOL), min_size=dof, max_size=dof))
+    params = MetricParams(np.ones(dof), [v for v, _ in pairs], [a for _, a in pairs])
+    entries = [
+        st.one_of(st.just(0.0), st.sampled_from(_around(v * v / a)), st.floats(-4.0, 4.0))
+        for v, a in pairs
+    ]
+    rows = draw(st.integers(1, 12))
+    a = np.array([[draw(entry) for entry in entries] for _ in range(rows)])
+    return params, a, np.zeros((draw(st.integers(1, 4)), dof))
+
+
+def _drop_example():
+    """Two joints of the non-monotone pair, moved by prevfloat(c) and by c."""
+    v, a = _NON_MONOTONE
+    c = v * v / a
+    params = MetricParams(np.ones(2), [v, v], [a, a])
+    return params, np.array([[math.nextafter(c, 0.0), c]]), np.zeros((1, 2))
+
+
+@pytest.mark.parametrize("kind", _MAX_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(drawn=_grouped_stacks())
+@example(drawn=_drop_example())
+def test_grouped_pricing_matches_the_per_joint_formula(kind, drawn):
+    params, a, b = drawn
+    expected = _full_difference_cost(kind, params, a, b)
+    assert np.array_equal(pairwise_cost(kind, params, a, b), expected)
+
+
+def test_joints_with_equal_limits_are_grouped_unless_the_trapezoid_drops():
+    v, a = _NON_MONOTONE
+    params = MetricParams(np.ones(4), [1.0, v, 1.0, v], [1.0, a, 1.0, a])
+    assert params.speed_groups == (((0, 2), (1.0,)), ((1, 3), (v,)))
+    assert params.trapezoid_groups == (((0, 2), (1.0, 1.0)), ((1,), (v, a)), ((3,), (v, a)))
+    # The drop itself: one joint just below c costs more than another at c.
+    c = v * v / a
+    move = np.array([[0.0, math.nextafter(c, 0.0), 0.0, c]])
+    priced = pairwise_cost(MetricKind.LINEAR_INTERP_DURATION, params, move, np.zeros((1, 4)))
+    assert priced[0, 0] == trapezoid_duration_1d(math.nextafter(c, 0.0), v, a)
+    assert priced[0, 0] > trapezoid_duration_1d(c, v, a)
+
+
+def test_monotonicity_check_agrees_with_the_kernel_on_random_limits():
+    # About 0.2% of random pairs drop across c; the check must flag exactly those.
+    rng = np.random.default_rng(2)
+    vmax, amax = rng.uniform(0.01, 5.0, 20000), rng.uniform(0.01, 5.0, 20000)
+    c = vmax * vmax / amax
+    drops = _trapezoid_kernel(np.nextafter(c, 0.0), vmax, amax) > _trapezoid_kernel(c, vmax, amax)
+    assert 10 < np.count_nonzero(drops) < 200
+    flagged = [not _trapezoid_is_monotone(v, a) for v, a in zip(vmax.tolist(), amax.tolist())]
+    assert flagged == drops.tolist()
+
+
+@pytest.mark.parametrize(
+    "vmax,amax",
+    [(1e-200, 1.0), (1e-170, 1e-30), (1e200, 1.0), (1e200, 0.5), (1e160, 1e-30)],
+    ids=["c-underflows", "c-underflows-small-amax", "c-overflows", "c-overflows-prev-overflows",
+         "c-overflows-small-amax"],
+)
+def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = vmax * vmax / amax
+        assert c in (0.0, math.inf)
+        params = MetricParams(np.ones(3), [vmax] * 3, [amax] * 3)
+        assert params.trapezoid_groups == (((0, 1, 2), (vmax, amax)),)
+        a = np.array([[0.5, -1.0, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        b = np.zeros((2, 3))
+        kind = MetricKind.LINEAR_INTERP_DURATION
+        table = pairwise_cost(kind, params, a, b)
+        with np.errstate(over="ignore"):  # the reference squares vmax as an array
+            assert np.array_equal(table, _full_difference_cost(kind, params, a, b))
+        assert linear_interp_duration(a[0], b[0], [vmax] * 3, [amax] * 3) == trapezoid_duration_1d(
+            1.0, vmax, amax
+        )
 
 
 @pytest.mark.parametrize("a_dof,b_dof,params_dof", [(1, 3, 3), (3, 3, 1), (3, 2, 3)])

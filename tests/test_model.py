@@ -200,6 +200,22 @@ def test_nonpositive_limit_is_reported():
     assert any("vel_max" in v for v in validate_task(task))
 
 
+def test_numbers_beyond_the_magnitude_limit_are_reported():
+    robot = RobotModel(dof=2, vel_max=[1e-51, 1.0], acc_max=[1.0, 1e51], weights=[1.0, 1e-50])
+    targets = [
+        TaskTarget(id=0, position=[1e50, -1e50], ik_solutions=[[1e50, 0.0]]),
+        TaskTarget(id=1, position=[0.0, 1e51], ik_solutions=[[0.0, -1e51], [0.0, 0.0]]),
+    ]
+    task = Task(robot=robot, home=[0.0, 2e50], targets=targets)
+    assert validate_task(task) == [
+        "vel_max entries must lie in [1e-50, 1e+50]",
+        "acc_max entries must lie in [1e-50, 1e+50]",
+        "home entries must lie in [-1e+50, 1e+50]",
+        "target 1 ik_solutions[0] entries must lie in [-1e+50, 1e+50]",
+        "target 1 position entries must lie in [-1e+50, 1e+50]",
+    ]
+
+
 def test_generator_is_deterministic():
     a = generate_random_task(5, 3, seed=42, mode="explicit_ik")
     b = generate_random_task(5, 3, seed=42, mode="explicit_ik")

@@ -194,7 +194,7 @@ def _ring_with_a_blocked_node(n=12):
 
 def test_full_exchange_check_skips_nan_gains():
     dm, order = _ring_with_a_blocked_node()
-    assert tsp._improving_exchange(dm, order) == (6, 8)
+    assert tsp._improving_exchange(dm, order, tsp.IMPROVEMENT_EPS) == (6, 8)
 
 
 def test_2opt_with_an_infinite_distance_admits_no_finite_improving_exchange():
@@ -204,6 +204,21 @@ def test_2opt_with_an_infinite_distance_admits_no_finite_improving_exchange():
     tour = solve_2opt(dm, TourOrder(order))
     assert sorted(tour.order) == list(range(12))
     assert _improving_exchange_count(dm, tour.order) == 0
+
+
+@pytest.mark.parametrize("far", [1e20, 1e50])
+@pytest.mark.parametrize("n", [4, 30])
+def test_2opt_terminates_when_distances_dwarf_their_differences(n, far):
+    # Every distance to the far point rounds to the same value, so a move's
+    # gain is rounding noise far above 1e-12; moves must not cycle on it.
+    points = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 2))
+    points[2] = (0.0, far)
+    dm = _euclidean_matrix(points)
+    stats = {}
+    tour = solve_2opt(dm, stats=stats)
+    assert sorted(tour.order) == list(range(n))
+    assert stats["two_opt_moves"] + stats["or_opt_moves"] < n * n
+    assert tour_cost(dm, tour) <= tour_cost(dm, solve_rnn(dm, 1)) * (1 + 1e-12)
 
 
 @st.composite
