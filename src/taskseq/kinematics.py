@@ -6,6 +6,14 @@ value poses a full inverse-kinematics problem with the familiar discrete
 elbow-up / elbow-down branching. Solutions of all grid orientations are pooled
 per target, which is exactly the multi-configuration structure the sequencing
 pipeline consumes; distinct orientations never share a configuration.
+
+One batched kernel solves every (target, orientation) row of a task together,
+in chunks of at most ``_BATCH_ROWS`` rows. Numpy does the arithmetic in the
+order the closed-form solution is written, and IEEE ``+ - * /`` round the same
+in numpy as on Python floats. The transcendentals (``acos``, ``atan2``,
+``sin``, ``cos``) stay in CPython's ``math`` module, mapped over flat lists:
+numpy's SIMD versions of them round differently from libm, which would move
+the last bits of most poses. So each pose has the bits of the scalar formula.
 """
 
 from __future__ import annotations
@@ -26,6 +34,13 @@ REACH_TOL = 1e-12
 #: Most orientations a grid may hold (pi/12 gives 24). A finer step is refused
 #: before anything is built, so validating a step size stays cheap.
 _MAX_GRID_COUNT = 10_000
+
+#: Most (target, orientation) rows one chunk of the IK kernel holds, so its
+#: temporaries stay near 10 MB at any task size and grid.
+_BATCH_ROWS = 1 << 16
+
+#: Work counters ``ik_pool`` and ``resolve_ik_sets`` report through ``stats``.
+IK_COUNTERS = ("poses_tried", "poses_dropped")
 
 
 def wrap_angle(angle: float) -> float:
@@ -78,29 +93,69 @@ def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
     return Pose2D(x=x, y=y, theta=wrap_angle(float(angles[-1])))
 
 
-def _ik_3r_rows(arm: RobotModel, x: float, y: float, thetas) -> list:
-    """3R solutions reaching (x, y) at each orientation in ``thetas``, as (q1, q2, q3) tuples.
+def _libm(fn, *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` over equal-size arrays, element by element, as a flat array."""
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
 
-    Per orientation, elbow-up comes first; elbow-down is dropped when it lies within
-    DUPLICATE_TOL (max-norm) of it. Scalar ``math`` calls only: numpy rounds differently.
+
+def _wrap(angles: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of every entry, bit for bit.
+
+    ``np.mod`` on floats is fmod plus the sign fix of Python's ``%``.
+    """
+    wrapped = np.mod(angles + math.pi, TWO_PI) - math.pi
+    wrapped[wrapped == -math.pi] = math.pi
+    return wrapped
+
+
+def _ik_3r_batch(arm: RobotModel, points: np.ndarray, thetas: np.ndarray) -> tuple[list, int]:
+    """3R solutions of every point at every orientation, pooled per point.
+
+    Returns one read-only (m, 3) array per row of ``points`` (orientations in
+    the order of ``thetas``, elbow-up before elbow-down) and the number of
+    elbow-down poses dropped for lying within DUPLICATE_TOL (max-norm) of their
+    elbow-up pose. An orientation whose wrist point misses the 2R annulus by
+    more than REACH_TOL yields nothing.
     """
     links = _links(arm)
     if links.size != 3:
         raise ValueError(f"ik_3r needs a 3-link arm, got {links.size} links")
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"IK positions must be 2-D points, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        bad = points[~np.isfinite(points).all(axis=1)][0]
+        raise ValueError(f"IK position {bad.tolist()} is not finite")
+    if not np.isfinite(thetas).all():
+        raise ValueError("IK orientations must be finite")
     l1, l2, l3 = (float(v) for v in links)
-    rows: list = []
-    for theta in thetas:
-        wx, wy = x - l3 * math.cos(theta), y - l3 * math.sin(theta)
-        c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-        if c2 > 1.0 + REACH_TOL or c2 < -1.0 - REACH_TOL:
-            continue
-        elbow, wrist = math.acos(min(1.0, max(-1.0, c2))), math.atan2(wy, wx)
-        for k, q2 in enumerate((-elbow, elbow)):  # elbow-up first
-            q1 = wrap_angle(wrist - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2)))
-            q = (q1, wrap_angle(q2), wrap_angle(theta - q1 - q2))
-            if k == 0 or not all(abs(a - b) <= DUPLICATE_TOL for a, b in zip(q, rows[-1])):
-                rows.append(q)
-    return rows
+    reach_x, reach_y = l3 * _libm(math.cos, thetas), l3 * _libm(math.sin, thetas)
+    pooled: list = []
+    dropped = 0
+    chunk = max(1, _BATCH_ROWS // thetas.size)
+    for start in range(0, len(points), chunk):
+        block = points[start:start + chunk]
+        wx, wy = block[:, :1] - reach_x, block[:, 1:] - reach_y
+        with np.errstate(over="ignore"):  # a far point squares to inf and is out of reach
+            c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+        owner, column = np.nonzero((c2 <= 1.0 + REACH_TOL) & (c2 >= -1.0 - REACH_TOL))
+        wx, wy, c2 = wx[owner, column], wy[owner, column], c2[owner, column]
+        elbow = _libm(math.acos, np.minimum(1.0, np.maximum(-1.0, c2)))
+        wrist = _libm(math.atan2, wy, wx)
+        q2 = np.stack((-elbow, elbow), axis=1)  # elbow-up first
+        shoulder = _libm(math.atan2, l2 * _libm(math.sin, q2), l1 + l2 * _libm(math.cos, q2))
+        q1 = _wrap(wrist[:, None] - shoulder.reshape(q2.shape))
+        q3 = _wrap(thetas[column][:, None] - q1 - q2)
+        poses = np.stack((q1, _wrap(q2), q3), axis=-1)  # (rows, branch, joint)
+        twin = (np.abs(poses[:, 1] - poses[:, 0]) <= DUPLICATE_TOL).all(axis=1)
+        keep = np.ones(q2.shape, dtype=bool)
+        keep[:, 1] = ~twin
+        kept = poses[keep]
+        kept.flags.writeable = False
+        per_point = np.bincount(np.repeat(owner, keep.sum(axis=1)), minlength=len(block))
+        bounds = [0, *np.cumsum(per_point).tolist()]
+        pooled.extend(kept[begin:end] for begin, end in zip(bounds, bounds[1:]))
+        dropped += int(np.count_nonzero(twin))
+    return pooled, dropped
 
 
 def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
@@ -110,9 +165,12 @@ def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
     straight-elbow poses yield exactly one). An empty list means the wrist
     point lies outside the annulus reachable by the first two links; that is
     a normal outcome, not an error. Every returned configuration reproduces
-    ``pose`` through :func:`forward_kinematics` to within 1e-9.
+    ``pose`` through :func:`forward_kinematics` to within 1e-9. A pose that is
+    not finite raises ``ValueError``.
     """
-    return [np.array(q) for q in _ik_3r_rows(arm, pose.x, pose.y, [pose.theta])]
+    point = np.array([[pose.x, pose.y]], dtype=float)
+    (solutions,), _ = _ik_3r_batch(arm, point, np.array([pose.theta], dtype=float))
+    return [q.copy() for q in solutions]
 
 
 def theta_grid(step_size: float) -> list:
@@ -130,20 +188,37 @@ def theta_grid(step_size: float) -> list:
     return [k * step_size for k in range(count)]
 
 
+def ik_pool(arm: RobotModel, positions, step_size: float, stats: dict | None = None) -> list:
+    """Pooled grid solutions of many point targets, one read-only (m, 3) array each.
+
+    ``positions`` is an (n, 2) array-like of finite points; a non-finite one
+    raises ``ValueError``. ``stats``, when given, receives the IK_COUNTERS:
+    2 poses tried per target and orientation, and the elbow-down poses dropped
+    as duplicates of their elbow-up pose.
+    """
+    thetas = _wrap(np.array(theta_grid(step_size)))
+    points = np.asarray(positions, dtype=float)
+    pooled, dropped = _ik_3r_batch(arm, points, thetas)
+    if stats is not None:
+        stats.update(poses_tried=2 * thetas.size * len(points), poses_dropped=dropped)
+    return pooled
+
+
 def ik_targets(
     arm: RobotModel, target_position, step_size: float, target_id: int = 0
 ) -> IkSolutionSet:
     """Pool the 3R solutions over the orientation grid for one point target.
 
     The free tool orientation is swept over :func:`theta_grid`, and the branches of
-    all orientations are concatenated in grid order. Only one orientation's branches
-    can coincide: q3 = wrap(theta - q1 - q2) makes q1 + q2 + q3 = theta (mod 2*pi) to
-    about 1e-15, so solutions within DUPLICATE_TOL on every joint have orientations
-    within about 3e-9, and grid orientations are at least 2*pi / 10,000 apart.
+    all orientations are concatenated in grid order; this is :func:`ik_pool` of a
+    single point, and a non-finite position raises ``ValueError``. Only one
+    orientation's branches can coincide: q3 = wrap(theta - q1 - q2) makes
+    q1 + q2 + q3 = theta (mod 2*pi) to about 1e-15, so solutions within
+    DUPLICATE_TOL on every joint have orientations within about 3e-9, and grid
+    orientations are at least 2*pi / 10,000 apart.
     """
-    x, y = (float(v) for v in np.asarray(target_position, dtype=float))
-    rows = _ik_3r_rows(arm, x, y, [wrap_angle(theta) for theta in theta_grid(step_size)])
-    return IkSolutionSet(target_id=target_id, solutions=np.array(rows).reshape(-1, 3))
+    (solutions,) = ik_pool(arm, [target_position], step_size)
+    return IkSolutionSet(target_id=target_id, solutions=solutions)
 
 
 def jacobian(arm: RobotModel, q: Configuration) -> np.ndarray:

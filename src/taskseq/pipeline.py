@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cgraph, tsp
-from .kinematics import IkSolutionSet, ik_targets, manipulability, theta_grid
+from .kinematics import IK_COUNTERS, IkSolutionSet, ik_pool, manipulability, theta_grid
 from .metrics import MetricKind, MetricParams, _price, pairwise_cost
 from .model import GuardError, Task, generate_random_task
 from .tsp import SolverKind, TourKind, TourOrder
@@ -79,19 +79,35 @@ class PipelineResult:
     counts: dict
 
 
-def resolve_ik_sets(task: Task, step_size: float) -> list[IkSolutionSet]:
+def resolve_ik_sets(
+    task: Task, step_size: float, stats: dict | None = None
+) -> list[IkSolutionSet]:
     """One solution set per target, in target-id order.
 
     Explicit configuration lists pass through; planar targets are solved over
-    the orientation grid. A target that ends up with no configuration at all
-    aborts the pipeline before any tour is attempted.
+    the orientation grid, all in one :func:`~taskseq.kinematics.ik_pool` call
+    made when the first of them is reached. A target that ends up with no
+    configuration at all aborts the pipeline before any tour is attempted; the
+    first such target in id order is the one reported. ``stats``, when given,
+    receives the IK_COUNTERS: every explicit configuration counts as one pose
+    tried, and each planar target as two per grid orientation.
     """
+    work = dict.fromkeys(IK_COUNTERS, 0)
+    explicit = 0
+    pooled = None
     sets = []
     for target in task.targets:
         if target.ik_solutions is not None:
             entry = IkSolutionSet(target_id=target.id, solutions=target.ik_solutions)
+            explicit += entry.count
         elif target.position is not None:
-            entry = ik_targets(task.robot, target.position, step_size, target_id=target.id)
+            if pooled is None:
+                positions = [
+                    t.position for t in task.targets
+                    if t.ik_solutions is None and t.position is not None
+                ]
+                pooled = iter(ik_pool(task.robot, positions, step_size, stats=work))
+            entry = IkSolutionSet(target_id=target.id, solutions=next(pooled))
         else:
             raise ValueError(f"target {target.id} has neither configurations nor a position")
         if entry.count == 0:
@@ -100,6 +116,8 @@ def resolve_ik_sets(task: Task, step_size: float) -> list[IkSolutionSet]:
                 f"(step size {step_size:.6g})"
             )
         sets.append(entry)
+    if stats is not None:
+        stats.update(work, poses_tried=work["poses_tried"] + explicit)
     return sets
 
 
@@ -174,14 +192,16 @@ def _start_stages(task: Task, config: PipelineConfig | None):
 
     ``marks`` holds the wall-clock time at each stage boundary; a runner
     appends one mark after step 1 and one after step 2. ``work`` holds the
-    tour counters, zero unless step 1 runs 2-opt.
+    IK counters and the tour counters, which stay zero unless step 1 runs 2-opt.
     """
     config = config or PipelineConfig()
     params = MetricParams.from_robot(task.robot)
     marks = [time.perf_counter()]
-    ik_sets = resolve_ik_sets(task, config.step_size)
+    work: dict = {}
+    ik_sets = resolve_ik_sets(task, config.step_size, stats=work)
     marks.append(time.perf_counter())
-    return config, params, ik_sets, marks, dict.fromkeys(tsp.TOUR_COUNTERS, 0)
+    work.update(dict.fromkeys(tsp.TOUR_COUNTERS, 0))
+    return config, params, ik_sets, marks, work
 
 
 def _finish_stages(

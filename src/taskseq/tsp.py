@@ -104,7 +104,9 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
         else:
             depot = points.mean(axis=0)
         points = np.vstack([points, depot])
-    dm = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    dx = points[:, None, 0] - points[None, :, 0]
+    dy = points[:, None, 1] - points[None, :, 1]
+    dm = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's sum of squares, no (n, n, 2) temporary
     if not np.all(np.isfinite(dm)):
         raise ValueError("target distances overflow: positions are too far apart")
     return dm

@@ -5,17 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskseq import kinematics
 from taskseq.kinematics import (
     Pose2D,
+    _wrap,
     forward_kinematics,
     ik_3r,
+    ik_pool,
     ik_targets,
     jacobian,
     manipulability,
     theta_grid,
     wrap_angle,
 )
-from taskseq.model import Task, TaskTarget, planar_arm
+from taskseq.model import TWO_PI, Task, TaskTarget, planar_arm
 from taskseq.pipeline import resolve_ik_sets
 
 ARM = planar_arm((1.0, 1.0, 1.0))
@@ -263,3 +266,210 @@ def test_unreachable_target_has_an_empty_set_and_stops_the_pipeline():
     task = Task(robot=ARM, home=np.zeros(3), targets=(TaskTarget(id=0, position=[4.0, 0.0]),))
     with pytest.raises(ValueError, match="unreachable"):
         resolve_ik_sets(task, math.pi / 2)
+
+
+def test_wrap_equals_wrap_angle_on_the_edge_values():
+    edges = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 0.0, -0.0, TWO_PI, -TWO_PI,
+             math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+             math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0)]
+    edges += [k * TWO_PI for k in range(-40, 41)] + [k * TWO_PI - math.pi for k in range(-40, 41)]
+    assert _wrap(np.array(edges)).tobytes() == np.array([wrap_angle(a) for a in edges]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(angles=st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-20.0, 20.0),
+        st.builds(lambda k, d: k * TWO_PI + d * math.pi,
+                  st.integers(-10**6, 10**6), st.sampled_from([-1.0, 0.0, 1.0])),
+    ),
+    min_size=1, max_size=50,
+))
+def test_wrap_equals_wrap_angle_bit_for_bit(angles):
+    # Odd multiples of pi land on -pi after the mod and must come back as +pi.
+    assert _wrap(np.array(angles)).tobytes() == np.array([wrap_angle(a) for a in angles]).tobytes()
+
+
+def _ik_rows_by_formula(arm, target, step):
+    """The closed-form 3R solution in Python floats and ``math``, one orientation at a time.
+
+    Returns the pooled rows and the number of elbow-down poses dropped next to their own
+    elbow-up pose. Unlike ``_ik_targets_by_scan`` it never compares poses of two
+    orientations, so it stays fast on a 2,000-orientation grid.
+    """
+    l1, l2, l3 = (float(v) for v in arm.planar_links)
+    x, y = (float(v) for v in target)
+    rows, dropped = [], 0
+    for theta in (wrap_angle(t) for t in theta_grid(step)):
+        wx, wy = x - l3 * math.cos(theta), y - l3 * math.sin(theta)
+        c2 = (wx * wx + wy * wy - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+        if c2 > 1.0 + 1e-12 or c2 < -1.0 - 1e-12:
+            continue
+        elbow, wrist = math.acos(min(1.0, max(-1.0, c2))), math.atan2(wy, wx)
+        up, down = (
+            (q1, wrap_angle(q2), wrap_angle(theta - q1 - q2))
+            for q2 in (-elbow, elbow)
+            for q1 in [wrap_angle(wrist - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2)))]
+        )
+        rows.append(np.array(up))
+        if all(abs(a - b) <= 1e-9 for a, b in zip(down, up)):
+            dropped += 1
+        else:
+            rows.append(np.array(down))
+    return rows, dropped
+
+
+def _resolve_by_scan(task, step):
+    """``resolve_ik_sets`` one target at a time: (rows per target, poses tried, poses dropped).
+
+    Raises the ValueError of the first target, in id order, that has no configuration.
+    """
+    pooled, tried, dropped = [], 0, 0
+    for target in task.targets:
+        if target.ik_solutions is not None:
+            rows = [np.asarray(q, dtype=float) for q in target.ik_solutions]
+            tried += len(rows)
+        elif target.position is not None:
+            rows, drops = _ik_rows_by_formula(task.robot, target.position, step)
+            if step >= math.pi / 12:  # the pairwise scan is O(m^2): too slow at 4,000 poses
+                scanned = _ik_targets_by_scan(task.robot, target.position, step)
+                assert [q.tobytes() for q in scanned] == [q.tobytes() for q in rows]
+            tried += 2 * len(theta_grid(step))
+            dropped += drops
+        else:
+            raise ValueError(f"target {target.id} has neither configurations nor a position")
+        if not rows:
+            raise ValueError(
+                f"target {target.id} unreachable: no configuration found (step size {step:.6g})"
+            )
+        pooled.append(rows)
+    return pooled, tried, dropped
+
+
+#: Arms of the whole-task property. The first has exact squares and exact reach radii 0.25 and
+#: 1.75; the second has neither, so a reordered sum in the kernel changes its bits.
+_ARMS = ((1.0, 0.5, 0.25), (0.9, 0.35, 0.3))
+
+_ANGLE = st.tuples(st.integers(0, 23), st.sampled_from([0.0, 1e-3, 0.5]))
+
+#: Targets every grid reaches: a position whose wrist point stays inside the 2R annulus at
+#: every orientation, or one to three explicit configurations.
+_SAFE = st.one_of(
+    st.tuples(st.just("band"), st.floats(0.0, 1.0), _ANGLE),
+    st.tuples(st.just("explicit"), st.integers(1, 3), st.integers(0, 2**32 - 1)),
+)
+
+#: Targets a grid may miss. "edge" lies on the inner or outer reach, where on a grid
+#: orientation the elbow branches coincide; "wide" spans the reach and a little beyond;
+#: "far" is out of reach at every orientation.
+_RISKY = st.one_of(
+    st.tuples(st.just("edge"), st.sampled_from([0.0, 1.0]), _ANGLE),
+    st.tuples(st.just("wide"), st.floats(0.0, 1.0), _ANGLE),
+    st.tuples(st.just("far"), st.sampled_from([0.0, 1.0]), _ANGLE),
+    st.tuples(st.just("explicit"), st.just(0), st.just(0)),
+    st.tuples(st.just("neither"), st.just(0), st.just(0)),
+)
+
+
+def _mixed_task(links, specs):
+    l1, l2, l3 = links
+    inner, outer = l1 - l2 - l3, l1 + l2 + l3
+    radius = {
+        "band": lambda f: (l1 - l2 + l3) + f * ((l1 + l2 - l3) - (l1 - l2 + l3)),
+        "edge": lambda f: outer if f else inner,
+        "wide": lambda f: 0.8 * inner + f * (1.05 * outer - 0.8 * inner),
+        "far": lambda f: outer + 1.0 if f else 0.5 * inner,
+    }
+    targets = []
+    for i, (kind, size, extra) in enumerate(specs):
+        if kind in radius:
+            r, (k, offset) = radius[kind](size), extra
+            angle = k * math.pi / 12 + offset
+            targets.append(TaskTarget(id=i, position=[r * math.cos(angle), r * math.sin(angle)]))
+        elif kind == "explicit":
+            rows = np.random.default_rng(extra).uniform(-math.pi, math.pi, (size, 3))
+            targets.append(TaskTarget(id=i, position=[0.0, 0.0], ik_solutions=rows))
+        else:
+            targets.append(TaskTarget(id=i))
+    return Task(robot=planar_arm(links), home=np.zeros(3), targets=tuple(targets))
+
+
+@pytest.mark.parametrize("step", [math.pi, math.pi / 2, math.pi / 3, math.pi / 4, math.pi / 6,
+                                  math.pi / 12, math.pi / 1000])
+@settings(max_examples=30, deadline=None)
+@given(
+    links=st.sampled_from(_ARMS),
+    safe=st.lists(_SAFE, min_size=1, max_size=38),
+    risky=st.lists(st.tuples(st.integers(0, 40), _RISKY), max_size=2),
+)
+def test_resolve_ik_sets_matches_the_scalar_scan_on_whole_tasks(step, links, safe, risky):
+    specs = list(safe)
+    for index, spec in risky:
+        specs.insert(index % (len(specs) + 1), spec)
+    task = _mixed_task(links, specs)
+    try:
+        want = _resolve_by_scan(task, step)
+    except ValueError as error:  # the same first target must fail, with the same message
+        with pytest.raises(ValueError) as raised:
+            resolve_ik_sets(task, step)
+        assert str(raised.value) == str(error)
+        return
+    stats = {}
+    got = resolve_ik_sets(task, step, stats=stats)
+    rows, tried, dropped = want
+    assert [entry.target_id for entry in got] == [t.id for t in task.targets]
+    assert [[q.tobytes() for q in entry.solutions] for entry in got] == [
+        [q.tobytes() for q in target_rows] for target_rows in rows
+    ]
+    assert stats == {"poses_tried": tried, "poses_dropped": dropped}
+
+
+def test_batches_of_any_size_give_the_same_bits(monkeypatch):
+    specs = [("band", i / 29, (i % 24, (0.0, 1e-3, 0.5)[i % 3])) for i in range(30)]
+    task = _mixed_task(_ARMS[1], specs)
+    whole = resolve_ik_sets(task, math.pi / 6)
+    for rows in (1, 12, 13, 100):  # a chunk of 1 row still holds one whole target
+        monkeypatch.setattr(kinematics, "_BATCH_ROWS", rows)
+        chunked = resolve_ik_sets(task, math.pi / 6)
+        assert [s.solutions.tobytes() for s in chunked] == [s.solutions.tobytes() for s in whole]
+
+
+def test_a_batch_holds_a_bounded_number_of_rows():
+    # 300 targets at the finest grid are 3,000,000 (target, orientation) rows, about 24 MB per
+    # float temporary; the kernel holds at most _BATCH_ROWS rows at a time. The targets are out
+    # of reach, so the result itself is empty.
+    tracemalloc.start()
+    try:
+        pooled = ik_pool(ARM, np.full((300, 2), 5.0), 2 * math.pi / 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [q.shape for q in pooled] == [(0, 3)] * 300
+    assert peak < 8 * kinematics._BATCH_ROWS * 8
+
+
+def test_ik_pool_reports_the_poses_tried_and_dropped():
+    # (3, 0) is reached only at theta = 0, on the straight elbow, where elbow-down equals
+    # elbow-up; (0.1, 0) has two distinct branches at all four orientations.
+    stats = {}
+    pooled = ik_pool(ARM, [(3.0, 0.0), (0.1, 0.0)], math.pi / 2, stats=stats)
+    assert [q.shape for q in pooled] == [(1, 3), (8, 3)]
+    assert stats == {"poses_tried": 16, "poses_dropped": 1}
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+def test_a_non_finite_position_is_refused(position):
+    with pytest.raises(ValueError, match="not finite"):
+        ik_targets(ARM, position, math.pi / 2)
+    with pytest.raises(ValueError, match="not finite"):
+        ik_3r(ARM, Pose2D(*position, 0.0))
+    task = Task(robot=ARM, home=np.zeros(3),
+                targets=(TaskTarget(id=0, position=[1.0, 0.0]), TaskTarget(id=1, position=position)))
+    with pytest.raises(ValueError, match="not finite"):
+        resolve_ik_sets(task, math.pi / 2)
+
+
+def test_a_non_finite_orientation_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        ik_3r(ARM, Pose2D(1.0, 0.0, math.nan))

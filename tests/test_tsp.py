@@ -106,6 +106,25 @@ def test_distance_matrix_requires_positions():
         build_task_distance_matrix(task)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=40),
+    scale=st.sampled_from([1.0, 1e-30, 1e20, 1e50]),
+    depot=st.booleans(),
+)
+def test_distance_matrix_equals_the_norm_formula_bit_for_bit(points, scale, depot):
+    robot = planar_arm()
+    targets = tuple(TaskTarget(id=i, position=[x * scale, y * scale])
+                    for i, (x, y) in enumerate(points))
+    task = Task(robot=robot, home=np.zeros(3), targets=targets)
+    nodes = [t.position for t in targets]
+    if depot:
+        pose = forward_kinematics(robot, task.home)
+        nodes.append([pose.x, pose.y])
+    dm = build_task_distance_matrix(task, include_home_depot=depot)
+    assert dm.tobytes() == _euclidean_matrix(nodes).tobytes()
+
+
 def test_exact_square():
     dm = _euclidean_matrix(SQUARE)
     tour = solve_exact(dm)
