@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import IkSolutionSet
-from .metrics import MetricKind, MetricParams, pairwise_cost
+from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
 from .model import Configuration, GuardError
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
@@ -33,6 +33,7 @@ class LayeredGraph:
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
     step_costs: tuple[np.ndarray, ...]      # (m_i, m_{i+1}) between layers
     goal_costs: np.ndarray                  # (m_n,) last layer -> Goal
+    price_calls: int                        # pairwise_cost calls that priced it
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -65,6 +66,24 @@ class SelectionResult:
     per_edge_costs: tuple[float, ...]
 
 
+def _price_runs(sizes) -> list[tuple[int, int]]:
+    """``(first, stop)`` per pricing call: step blocks first..stop-1, in order.
+
+    Consecutive blocks between layers of one size m form a run while the run
+    holds at most ``TILE_ENTRIES`` entries; every other block is a run of its
+    own, however wide.
+    """
+    runs: list[tuple[int, int]] = []
+    for i in range(len(sizes) - 1):
+        m = sizes[i]
+        first = runs[-1][0] if runs else i
+        if runs and sizes[first] == m == sizes[i + 1] and (i + 1 - first) * m * m <= TILE_ENTRIES:
+            runs[-1] = (first, i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
+
+
 def build_layered_graph(
     home: Configuration,
     ordered_ik: list[IkSolutionSet],
@@ -74,8 +93,13 @@ def build_layered_graph(
     """Assemble the graph for targets already in visiting order.
 
     ``ordered_ik`` is a sequence of :class:`IkSolutionSet`; every set must be
-    non-empty, and its (m, dof) array is the layer. All edge costs are
-    evaluated here, once, under the selected metric.
+    non-empty, and its (m, dof) array is the layer. Every edge cost is
+    evaluated here, under the selected metric, in tiles of about
+    ``TILE_ENTRIES`` entries: one :func:`pairwise_cost` call prices the Start
+    edges, one the Goal edges, and one each run of step blocks. A run of
+    small blocks between layers of equal size goes in as stacked (k, m, dof)
+    layers, and its (k, m, m) result is held as k views; a block wider than a
+    tile is a run of its own, which ``pairwise_cost`` prices in row bands.
     """
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
@@ -83,10 +107,20 @@ def build_layered_graph(
         if entry.count == 0:
             raise ValueError(f"target {entry.target_id} has an empty solution set")
     layers = [entry.solutions for entry in ordered_ik]
+    start_costs = pairwise_cost(kind, params, home, layers[0])[0]
+    step_costs = []
+    runs = _price_runs([len(layer) for layer in layers])
+    for first, stop in runs:
+        if stop - first == 1:
+            step_costs.append(pairwise_cost(kind, params, layers[first], layers[stop]))
+        else:
+            run = np.stack(layers[first:stop + 1])
+            step_costs.extend(pairwise_cost(kind, params, run[:-1], run[1:]))
     return LayeredGraph(
-        start_costs=pairwise_cost(kind, params, home, layers[0])[0],
-        step_costs=tuple(pairwise_cost(kind, params, a, b) for a, b in zip(layers, layers[1:])),
+        start_costs=start_costs,
+        step_costs=tuple(step_costs),
         goal_costs=pairwise_cost(kind, params, layers[-1], home)[:, 0],
+        price_calls=len(runs) + 2,
     )
 
 

@@ -239,6 +239,7 @@ def _finish_stages(
             "edges": graph.edge_count,
             "vertices": graph.vertex_count,
             "step_cost_bytes": graph.step_cost_bytes,
+            "price_calls": graph.price_calls,
             **work,
         },
     )

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from taskseq import cgraph, metrics
 from taskseq.cgraph import (
     brute_force_selection,
     build_layered_graph,
@@ -10,7 +12,7 @@ from taskseq.cgraph import (
     shortest_selection,
 )
 from taskseq.kinematics import IkSolutionSet
-from taskseq.metrics import MetricKind, MetricParams
+from taskseq.metrics import TILE_ENTRIES, MetricKind, MetricParams, edge_cost
 from taskseq.model import GuardError
 
 EUCLID = MetricKind.WEIGHTED_EUCLIDEAN
@@ -176,3 +178,111 @@ def test_optimal_selection_dominates_any_fixed_assignment():
         fixed = tuple(int(rng.integers(0, s.count)) for s in sets)
         fixed_cost, _ = path_cost(graph, fixed)
         assert best.total_cost <= fixed_cost + 1e-12
+
+
+# Joint limits drawn from a small pool, so joints share them and the max-based
+# metrics price groups; the first pair is not monotone across its branch point.
+_LIMIT_POOL = [(0.05407598572326695, 3.8795177930322358), (1.0, 1.0), (0.5, 2.0), (2.816, 1.324)]
+
+
+def _edge_cost_table(kind, params, a, b):
+    """``edge_cost`` of every pair of rows, one scalar call each."""
+    return np.array([[edge_cost(kind, params, p, q) for q in b] for p in a])
+
+
+def _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params):
+    home = home[None]
+    assert graph.start_costs.tobytes() == _edge_cost_table(kind, params, home, layers[0])[0].tobytes()
+    assert graph.goal_costs.tobytes() == _edge_cost_table(kind, params, layers[-1], home)[:, 0].tobytes()
+    assert len(graph.step_costs) == len(layers) - 1
+    for block, a, b in zip(graph.step_costs, layers, layers[1:]):
+        assert block.shape == (len(a), len(b))
+        assert block.tobytes() == _edge_cost_table(kind, params, a, b).tobytes()
+
+
+def _counting_pairwise_cost(calls):
+    def counted(*args):
+        calls.append(args)
+        return metrics.pairwise_cost(*args)
+
+    return counted
+
+
+@st.composite
+def _tiled_graphs(draw):
+    """A tile size, a metric and layers whose sizes make blocks of one row,
+    blocks just below, at and just above a tile, and runs of equal-size
+    layers long enough to span several tiles, ragged in between."""
+    tile = draw(st.sampled_from([1, 2, 6, 12, 20, TILE_ENTRIES]))
+    kind = draw(st.sampled_from(list(MetricKind)))
+    dof = draw(st.integers(1, 9))
+    side = max(1, math.isqrt(min(tile, 20)))
+    sizes = st.sampled_from(sorted({1, 2, side, side + 1, *(
+        m for m in (tile - 1, tile, tile + 1) if 1 <= m <= 21)}))
+    runs = draw(st.lists(st.tuples(sizes, st.integers(1, 14)), min_size=1, max_size=4))
+    layer_sizes = [m for m, repeat in runs for _ in range(repeat)][:24]
+    pairs = draw(st.lists(st.sampled_from(_LIMIT_POOL), min_size=dof, max_size=dof))
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=dof, max_size=dof))
+    params = MetricParams(weights, [v for v, _ in pairs], [a for _, a in pairs])
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    home = rng.uniform(-math.pi, math.pi, dof)
+    layers = [rng.uniform(-math.pi, math.pi, (m, dof)) for m in layer_sizes]
+    return tile, kind, params, home, layers
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_tiled_graphs())
+def test_tiled_pricing_equals_edge_cost_byte_for_byte(drawn):
+    tile, kind, params, home, layers = drawn
+    sets = [IkSolutionSet(t, layer) for t, layer in enumerate(layers)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "TILE_ENTRIES", tile)
+        patch.setattr(cgraph, "TILE_ENTRIES", tile)
+        patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
+        graph = build_layered_graph(home, sets, kind, params)
+        assert graph.price_calls == len(calls)
+    for _, _, a, b in calls:  # every stacked call stays within one tile
+        if np.ndim(a) == 3:
+            assert len(a) * a.shape[1] * b.shape[1] <= tile
+    _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_blocks_around_one_tile_match_the_untiled_formula(kind):
+    # 127 x 258 is just below a tile, 128 x 256 is one tile, 258 x 128 is just
+    # above one; each is checked in full against the per-joint difference
+    # formula and in a sample of entries against edge_cost.
+    assert TILE_ENTRIES == 128 * 256
+    rng = np.random.default_rng(11)
+    params = MetricParams(rng.uniform(0.5, 3.0, 9), rng.uniform(0.5, 2.0, 9), rng.uniform(0.5, 2.0, 9))
+    layers = [rng.uniform(-math.pi, math.pi, (m, 9)) for m in (127, 258, 128, 256, 1)]
+    graph = build_layered_graph(np.zeros(9), [IkSolutionSet(t, x) for t, x in enumerate(layers)],
+                                kind, params)
+    assert graph.price_calls == 6
+    for block, a, b in zip(graph.step_costs, layers, layers[1:]):
+        diff = a[:, None, :] - b[None, :, :]
+        if kind is MetricKind.WEIGHTED_EUCLIDEAN:
+            expected = np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+        elif kind is MetricKind.MAX_JOINT_DIFFERENCE:
+            expected = np.max(np.abs(diff) / params.vel_max, axis=-1)
+        else:
+            dist, v, acc = np.abs(diff), params.vel_max, params.acc_max
+            expected = np.max(np.where(dist >= v * v / acc, dist / v + v / acc,
+                                       2.0 * np.sqrt(dist / acc)), axis=-1)
+        assert block.tobytes() == expected.tobytes()
+        for i, j in zip(rng.integers(0, len(a), 50), rng.integers(0, len(b), 50)):
+            assert block[i, j] == edge_cost(kind, params, a[i], b[j])
+
+
+def test_equal_size_layers_are_priced_in_few_calls():
+    # 400 layers of 16 poses: 399 blocks of 256 entries, 128 to a tile.
+    rng = np.random.default_rng(12)
+    sets = [IkSolutionSet(t, rng.uniform(-math.pi, math.pi, (16, 3))) for t in range(400)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
+        graph = build_layered_graph(np.zeros(3), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(3))
+    assert graph.price_calls == len(calls) == 6
+    assert [len(np.atleast_2d(a)) for _, _, a, _ in calls] == [1, 128, 128, 128, 15, 16]

@@ -148,7 +148,7 @@ def test_solve_result_is_stable_modulo_timings(tmp_path):
     assert doc["chosen"] == [0]
     assert doc["counts"] == {
         "n": 1, "total_ik": 1, "edges": 2, "vertices": 3, "step_cost_bytes": 0,
-        "poses_tried": 1, "poses_dropped": 0,
+        "price_calls": 2, "poses_tried": 1, "poses_dropped": 0,
         "two_opt_moves": 0, "or_opt_moves": 0, "check_rounds": 0,
     }
     assert doc["schedule_model"]

@@ -283,6 +283,28 @@ def test_monotonicity_check_agrees_with_the_kernel_on_random_limits():
 
 
 @pytest.mark.parametrize(
+    "vmax,amax,monotone",
+    [(1.0, 1.0, True), (2.816, 1.324, True), (*_NON_MONOTONE, False), (0.828, 2.082, False)],
+    ids=["monotone", "monotone-branches-differ-at-c", "non-monotone", "non-monotone-2"],
+)
+def test_single_branch_kernel_matches_the_two_branch_formula_around_c(vmax, amax, monotone):
+    # The kernel computes the long-move branch everywhere and overwrites the
+    # moves strictly below c with the short-move branch; np.where picks the
+    # same branch for every entry. In three of these cases the branches
+    # differ at c itself, so a kernel that took the short branch at c fails.
+    c = vmax * vmax / amax
+    assert _trapezoid_is_monotone(vmax, amax) is monotone
+    dist = np.array([0.0, math.nextafter(c, 0.0), c, math.nextafter(c, math.inf), 2.0 * c])
+    two_branch = np.where(dist >= c, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
+    assert _trapezoid_kernel(dist, vmax, amax).tobytes() == two_branch.tobytes()
+    for d, expected in zip(dist, two_branch):  # the single-move path
+        assert np.float64(_trapezoid_kernel(d, vmax, amax)).tobytes() == expected.tobytes()
+        assert trapezoid_duration_1d(d, vmax, amax) == expected
+    per_entry = np.full(dist.shape, vmax), np.full(dist.shape, amax)
+    assert _trapezoid_kernel(dist, *per_entry).tobytes() == two_branch.tobytes()
+
+
+@pytest.mark.parametrize(
     "vmax,amax",
     [(1e-200, 1.0), (1e-170, 1e-30), (1e200, 1.0), (1e200, 0.5), (1e160, 1e-30)],
     ids=["c-underflows", "c-underflows-small-amax", "c-overflows", "c-overflows-prev-overflows",
@@ -311,8 +333,10 @@ def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax):
 def test_pairwise_cost_rejects_a_joint_count_mismatch(kind, a_dof, b_dof, params_dof):
     params = MetricParams(weights=np.ones(params_dof), vel_max=np.ones(params_dof),
                           acc_max=np.ones(params_dof))
+    buffer = np.getbufsize()
     with pytest.raises(ValueError, match="joint count mismatch"):
         pairwise_cost(kind, params, np.zeros((2, a_dof)), np.ones((3, b_dof)))
+    assert np.getbufsize() == buffer  # restored after a failed pricing call too
 
 
 @pytest.mark.parametrize("kind", [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION])

@@ -44,7 +44,7 @@ def test_degenerate_single_target_pipeline():
     assert result.schedule_duration == pytest.approx(6.0)
     assert result.counts == {
         "n": 1, "total_ik": 1, "edges": 2, "vertices": 3, "step_cost_bytes": 0,
-        "poses_tried": 1, "poses_dropped": 0,
+        "price_calls": 2, "poses_tried": 1, "poses_dropped": 0,
         "two_opt_moves": 0, "or_opt_moves": 0, "check_rounds": 0,  # a 2-node cycle has no move
     }
 
@@ -195,8 +195,8 @@ def test_runners_report_the_same_timings_and_counts():
                for runner in (solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact)]
     assert {tuple(r.timings) for r in results} == {("ik_ms", "step1_ms", "step2_ms", "step3_ms")}
     assert {tuple(r.counts) for r in results} == {
-        ("n", "total_ik", "edges", "vertices", "step_cost_bytes", "poses_tried", "poses_dropped",
-         "two_opt_moves", "or_opt_moves", "check_rounds")
+        ("n", "total_ik", "edges", "vertices", "step_cost_bytes", "price_calls", "poses_tried",
+         "poses_dropped", "two_opt_moves", "or_opt_moves", "check_rounds")
     }
     assert results[2].timings["step1_ms"] == 0.0
 
