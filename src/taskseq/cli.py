@@ -267,7 +267,9 @@ def cmd_oracle(args) -> int:
         match = oracle_cost <= exact_cost + 1e-12
 
     verdict = "MATCH" if match else "MISMATCH"
-    print(f"{verdict} {args.what}: solver={exact_cost!r} oracle={oracle_cost!r}")
+    gap = exact_cost / oracle_cost if oracle_cost else (math.inf if exact_cost else 1.0)
+    detail = f" gap={gap:.6g}" if args.what == "gtsp" else ""  # decoupled over joint cost
+    print(f"{verdict} {args.what}: solver={exact_cost!r} oracle={oracle_cost!r}{detail}")
     return 0 if match else 1
 
 

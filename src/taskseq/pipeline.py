@@ -8,13 +8,12 @@ under trapezoidal speed profiles: an obstacle-free surrogate for full motion
 planning, and labeled as such in all outputs.
 
 Two reference methods bracket the main solver: a configuration-space TSP that
-freezes one configuration per target by manipulability, and an exact joint
-search over every order and every configuration choice (tiny instances only).
+freezes one configuration per target by manipulability, and the exact joint
+optimum over every order and configuration choice, by the exact tour's DP.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -27,9 +26,8 @@ from .metrics import MetricKind, MetricParams, _price, pairwise_cost
 from .model import GuardError, Task, generate_random_task
 from .tsp import SolverKind, TourKind, TourOrder
 
-#: Guards for the exact joint-optimum search.
-GTSP_GUARD_TARGETS = 7
-GTSP_GUARD_TOURS = 10**7
+#: Guard for the exact joint optimum: its DP prices 2^n * V^2 moves for n targets, V configurations.
+GTSP_GUARD_MOVES = 5 * 10**7
 
 #: Orientation step sizes swept by the discretization benchmark axis.
 STEP_SIZE_VARIANTS = (
@@ -305,36 +303,37 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
 def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> PipelineResult:
     """Gold standard: exact minimum over every order and configuration choice.
 
-    Feasible only on tiny instances; the guard bounds the implied number of
-    straight-path configuration-space tours, (n-1)! times the product of the
-    per-target solution counts. Orders are enumerated lexicographically and,
-    per order, the optimal selection is found with the same layered-graph
-    machinery the main pipeline uses, so its cost is exactly comparable.
+    A generalized TSP, one cluster per target, solved by the subset DP of
+    :func:`tsp._cluster_walk`; the step-2 cost is ``path_cost`` of the optimal
+    walk in the layered graph of its order. Ties go to the lowest last
+    configuration, then the lowest predecessor of each, by (target id, index).
+    Refused before any pricing when 2^n V^2 moves (V configurations) exceed the guard.
     """
     config, params, ik_sets, marks, work = _start_stages(task, config)
     marks.append(marks[-1])  # no step 1: the joint search is one indivisible step 2
 
-    n = task.n
-    if n > GTSP_GUARD_TARGETS:
-        raise GuardError(
-            f"joint-search guard: n={n} exceeds {GTSP_GUARD_TARGETS} targets"
-        )
-    tours = math.factorial(n - 1) * math.prod(s.count for s in ik_sets)
-    if tours > GTSP_GUARD_TOURS:
-        raise GuardError(
-            f"joint-search guard: {tours} configuration-space tours exceed "
-            f"{GTSP_GUARD_TOURS}"
-        )
+    sizes = [s.count for s in ik_sets]
+    moves = (1 << task.n) * sum(sizes) ** 2
+    if moves > GTSP_GUARD_MOVES:
+        raise GuardError(f"joint-search guard: 2^{task.n} x {sum(sizes)}^2 configurations = "
+                         f"{moves} moves exceed {GTSP_GUARD_MOVES}")
 
-    best = None  # (selection, perm, graph) of the first strictly cheapest order
-    for perm in itertools.permutations(range(n)):
-        ordered = [ik_sets[t] for t in perm]
-        graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-        selection = cgraph.shortest_selection(graph)
-        if best is None or selection.total_cost < best[0].total_cost:
-            best = (selection, perm, graph)
-    selection, perm, graph = best
-    order = TourOrder(perm, TourKind.OPEN_PATH)
+    stack = np.concatenate([s.solutions for s in ik_sets])
+    bounds = np.cumsum([0, *sizes])
+    target = np.repeat(np.arange(task.n), sizes)  # of each stacked configuration
+    step = np.zeros((len(stack), len(stack)))  # within a target: no move, left unpriced
+    for lo, hi in zip(bounds, bounds[1:]):
+        for cols in (slice(0, lo), slice(hi, None)):
+            step[lo:hi, cols] = pairwise_cost(config.metric, params, stack[lo:hi], stack[cols])
+    start = pairwise_cost(config.metric, params, task.home, stack)[0]
+    goal = pairwise_cost(config.metric, params, stack, task.home)[:, 0]
+    _, walk = tsp._cluster_walk(start, step, goal, target)
+    order = TourOrder(target[walk], TourKind.OPEN_PATH)
+    chosen = tuple((walk - bounds[target[walk]]).tolist())
+    ordered = [ik_sets[t] for t in order.order]
+    graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
+    total, edges = cgraph.path_cost(graph, chosen)
+    selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
     step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
     marks.append(time.perf_counter())
 

@@ -4,10 +4,11 @@ Three solvers with different cost/quality trade-offs: an exact dynamic
 program (bitmask over visited subsets, practical up to ~20 nodes), a local
 search from one nearest-neighbor tour (2-exchanges and Or-opt segment moves
 over nearest-neighbor lists, then a full 2-exchange check), and a repeated
-nearest-neighbor greedy construction. A brute-force permutation oracle backs
-the exact solver in tests and the verification command. All solvers are
-deterministic; the exact, oracle and nearest-neighbor solvers break ties
-toward the lowest index.
+nearest-neighbor greedy construction. The exact DP, run over clusters of
+vertices, also finds the pipeline's joint optimum. A brute-force permutation
+oracle backs the exact solver in tests and the verification command. All
+solvers are deterministic; the exact, oracle and nearest-neighbor solvers
+break ties toward the lowest index.
 """
 
 from __future__ import annotations
@@ -133,56 +134,54 @@ def _canonical_cycle(order: list) -> TourOrder:
     return TourOrder(tuple(order), TourKind.CLOSED_CYCLE)
 
 
+def _cluster_walk(start, step, goal, cluster) -> tuple[float, list[int]]:
+    """Cheapest walk Start -> one vertex of every cluster -> Goal, by a DP over subsets.
+
+    Vertex v lies in cluster ``cluster[v]`` (0..k-1, none empty); ``start[v]``,
+    ``step[u, v]`` and ``goal[v]`` price Start -> v, u -> v and v -> Goal, none
+    NaN; steps within a cluster are ignored. The state is (visited clusters,
+    last vertex), each walk summed from the Start side, so the minimum is exact.
+    Ties go to the lowest last vertex, then to the lowest predecessor of each.
+    Returns the cost and the vertices in visiting order (meaningless at inf).
+    """
+    k = int(np.max(cluster)) + 1
+    bit = np.left_shift(1, np.asarray(cluster, dtype=np.int64))
+    masks = np.arange(1 << k)
+    size = sum((masks >> c) & 1 for c in range(k))
+    cost = np.full((1 << k, len(bit)), np.inf)
+    cost[bit, np.arange(len(bit))] = start
+    for count in range(2, k + 1):
+        level = masks[size == count]
+        for v, b in enumerate(bit):
+            rows = level[(level & b) != 0]
+            cost[rows, v] = np.min(cost[rows ^ b] + step[:, v], axis=1)
+    walk = [int(np.argmin(cost[-1] + goal))]  # the last row: every cluster visited
+    mask = (1 << k) - 1
+    for _ in range(k - 1):  # each predecessor is the argmin the forward pass took
+        mask ^= int(bit[walk[-1]])
+        walk.append(int(np.argmin(cost[mask] + step[:, walk[-1]])))
+    return float(np.min(cost[-1] + goal)), walk[::-1]
+
+
 def solve_exact(dm: np.ndarray) -> TourOrder:
     """Globally optimal closed cycle via dynamic programming over visited subsets.
 
     Runs in O(n^2 2^n) time and O(n 2^n) memory, hence the hard size guard.
     The returned cycle is in canonical form (starts at node 0, oriented toward
-    the smaller-indexed neighbor).
+    the smaller-indexed neighbor). NaN counts as inf; no finite cycle gives the identity.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
     if n > EXACT_GUARD:
         raise GuardError(
-            f"exact solver guard: n={n} exceeds {EXACT_GUARD} "
-            f"(dynamic program is O(n^2 * 2^n))"
+            f"exact solver guard: n={n} exceeds {EXACT_GUARD} (dynamic program is O(n^2 * 2^n))"
         )
-    if n <= 3:
-        return TourOrder(tuple(range(n)), TourKind.CLOSED_CYCLE)
-
-    size = 1 << n
-    full = size - 1
-    dp = np.full((size, n), np.inf)
-    parent = np.full((size, n), -1, dtype=np.int8)
-    dp[1, 0] = 0.0
-
-    masks_by_count: list = [[] for _ in range(n + 1)]
-    for mask in range(1, size, 2):  # only subsets containing node 0
-        masks_by_count[bin(mask).count("1")].append(mask)
-
-    for count in range(2, n + 1):
-        masks = np.asarray(masks_by_count[count], dtype=np.int64)
-        for j in range(1, n):
-            bit = 1 << j
-            with_j = masks[(masks & bit) != 0]
-            if with_j.size == 0:
-                continue
-            candidates = dp[with_j ^ bit] + dm[:, j]
-            best = np.argmin(candidates, axis=1)  # ties -> lowest predecessor
-            dp[with_j, j] = candidates[np.arange(with_j.size), best]
-            parent[with_j, j] = best
-
-    closing = dp[full, 1:] + dm[1:, 0]
-    last = int(np.argmin(closing)) + 1
-
-    path = []
-    mask, node = full, last
-    while node != 0:
-        path.append(node)
-        prev = int(parent[mask, node])
-        mask ^= 1 << node
-        node = prev
-    return _canonical_cycle([0] + path[::-1])
+    if n > 3:
+        dm = np.where(np.isnan(dm), np.inf, dm)
+        cost, walk = _cluster_walk(dm[0, 1:], dm[1:, 1:], dm[1:, 0], np.arange(n - 1))
+        if cost < np.inf:
+            return _canonical_cycle([0] + [v + 1 for v in walk])
+    return TourOrder(tuple(range(n)), TourKind.CLOSED_CYCLE)
 
 
 def brute_force_cycle(dm: np.ndarray) -> TourOrder:
@@ -208,9 +207,8 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
         if perm[0] > perm[-1]:
             continue  # mirrored orientation of an already-seen cycle
         cost = dm[0, perm[0]]
-        for i in range(len(perm) - 1):
-            cost += dm[perm[i], perm[i + 1]]
-        cost += dm[perm[-1], 0]
+        for a, b in zip(perm, perm[1:] + (0,)):
+            cost += dm[a, b]
         if cost < best_cost:
             best_cost = cost
             best = (0,) + perm

@@ -229,7 +229,7 @@ def test_criterion_08_dominance_properties():
     joint_violations = 0
     assignment_violations = 0
     for seed in range(100):
-        n = 2 + seed % 4  # n in [2, 5]: (n-1)! * 4^n stays inside the guard
+        n = 2 + seed % 4  # n in [2, 5]: 2^n * (4n)^2 moves stay inside the guard
         task = ts.generate_random_task(n, 1, seed=seed, mode="planar")
         ours = ts.solve_sequence(task, config)
         joint = ts.baseline_gtsp_exact(task, config)

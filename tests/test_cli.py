@@ -191,14 +191,34 @@ def test_oracle_gtsp_matches_on_tiny_instance(tmp_path, capsys):
     assert main(["generate", "--n", "4", "--m-max", "2", "--seed", "2",
                  "--out", str(task)]) == 0
     assert main(["oracle", "--task", str(task), "--what", "gtsp"]) == 0
-    assert "MATCH" in capsys.readouterr().out
+    line = capsys.readouterr().out.splitlines()[-1]  # after the path that generate printed
+    assert line.startswith("MATCH gtsp: ")
+    fields = dict(token.split("=") for token in line.split()[2:])
+    gap = float(fields["gap"])  # the decoupling gap: decoupled over joint step-2 cost
+    assert gap == pytest.approx(float(fields["solver"]) / float(fields["oracle"]), rel=1e-5)
+    assert gap >= 1.0
+
+
+def _write_explicit_task(path, sizes):
+    rng = np.random.default_rng(0)
+    robot = RobotModel(dof=2, vel_max=np.ones(2), acc_max=np.ones(2))
+    targets = tuple(
+        TaskTarget(id=i, position=rng.uniform(0.0, 1.0, 2),
+                   ik_solutions=rng.uniform(-math.pi, math.pi, (m, 2)))
+        for i, m in enumerate(sizes)
+    )
+    task = Task(robot=robot, home=np.zeros(2), targets=targets)
+    path.write_text(json.dumps(task_to_dict(task)), encoding="utf-8")
 
 
 def test_oracle_gtsp_guard_exits_2(tmp_path, capsys):
-    task = tmp_path / "t.json"
-    assert main(["generate", "--n", "8", "--m-max", "2", "--seed", "0",
-                 "--out", str(task)]) == 0
-    assert main(["oracle", "--task", str(task), "--what", "gtsp"]) == 2
+    # 14 targets: 2^14 * 55^2 moves are inside the joint-search bound, 2^14 * 56^2 are not.
+    under, over = tmp_path / "under.json", tmp_path / "over.json"
+    _write_explicit_task(under, [4] * 13 + [3])
+    _write_explicit_task(over, [4] * 14)
+    assert main(["oracle", "--task", str(under), "--what", "gtsp"]) == 0
+    assert "MATCH" in capsys.readouterr().out
+    assert main(["oracle", "--task", str(over), "--what", "gtsp"]) == 2
     assert "guard" in capsys.readouterr().err
 
 

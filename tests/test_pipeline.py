@@ -1,12 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
 from taskseq.metrics import MetricKind, MetricParams
 from taskseq.model import GuardError, RobotModel, Task, TaskTarget, generate_random_task
 from taskseq.pipeline import (
+    GTSP_GUARD_MOVES,
     PipelineConfig,
     baseline_cspace_tsp,
     baseline_gtsp_exact,
@@ -214,12 +218,65 @@ def test_tour_counters_come_from_2opt_and_are_zero_for_other_solvers():
         assert {k: counts[k] for k in TOUR_COUNTERS} == dict.fromkeys(TOUR_COUNTERS, 0)
 
 
+def _explicit_task(sizes, seed=0):
+    """A 2-joint task with ``sizes[i]`` random configurations at target i."""
+    rng = np.random.default_rng(seed)
+    robot = RobotModel(dof=2, vel_max=np.ones(2), acc_max=np.ones(2))
+    targets = tuple(
+        TaskTarget(id=i, position=rng.uniform(0.0, 1.0, 2),
+                   ik_solutions=rng.uniform(-math.pi, math.pi, (m, 2)))
+        for i, m in enumerate(sizes)
+    )
+    return Task(robot=robot, home=np.zeros(2), targets=targets)
+
+
 def test_gtsp_guards():
-    with pytest.raises(GuardError, match="guard"):
-        baseline_gtsp_exact(generate_random_task(8, 1, seed=0, mode="explicit_ik"))
-    big = generate_random_task(7, 29, seed=0, mode="explicit_ik")
-    with pytest.raises(GuardError, match="guard"):
-        baseline_gtsp_exact(big)
+    # 14 targets: 2^14 * 55^2 moves are inside the bound, 2^14 * 56^2 are not.
+    assert (1 << 14) * 55**2 <= GTSP_GUARD_MOVES < (1 << 14) * 56**2
+    joint = baseline_gtsp_exact(_explicit_task([4] * 13 + [3]))
+    assert sorted(joint.order.order) == list(range(14))
+    # Past the bound: many small targets (a 7 MB DP table) and two wide ones (a 100 MB block).
+    over = [_explicit_task([4] * 14), _explicit_task([1768, 1768])]
+    assert 4 * 3536**2 > GTSP_GUARD_MOVES
+    tracemalloc.start()
+    try:
+        for task in over:
+            with pytest.raises(GuardError, match="guard"):
+                baseline_gtsp_exact(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before anything is priced
+
+
+def _joint_by_every_order(task, config):
+    """Minimum over every order of the optimal selection for that order."""
+    params = MetricParams.from_robot(task.robot)
+    ik_sets = resolve_ik_sets(task, config.step_size)
+    return min(
+        brute_force_selection(task.home, [ik_sets[t] for t in perm], config.metric, params).total_cost
+        for perm in itertools.permutations(range(task.n))
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5),
+    metric=st.sampled_from(list(MetricKind)),
+    seed=st.integers(0, 2**16),
+)
+def test_gtsp_matches_the_every_order_oracle(sizes, metric, seed):
+    task = _explicit_task(sizes, seed)
+    config = PipelineConfig(metric=metric)
+    joint = baseline_gtsp_exact(task, config)
+    assert sorted(joint.order.order) == list(range(task.n))
+    assert joint.selection.total_cost == _joint_by_every_order(task, config)
+    params = MetricParams.from_robot(task.robot)
+    ik_sets = resolve_ik_sets(task, config.step_size)
+    graph = build_layered_graph(
+        task.home, [ik_sets[t] for t in joint.order.order], config.metric, params
+    )
+    assert path_cost(graph, joint.selection.chosen)[0] == joint.selection.total_cost
 
 
 def test_benchmark_row_arithmetic():

@@ -152,6 +152,25 @@ def test_exact_guard_refuses_large_instances():
         brute_force_cycle(np.zeros((11, 11)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_matches_the_permutation_oracle_on_non_finite_matrices(data):
+    # NaN edges count as inf; with no finite cycle the identity order stands.
+    n = data.draw(st.integers(1, 8), label="n")
+    entries = st.sampled_from([0.0, 1.0, 2.0, math.inf, math.nan])
+    upper = data.draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    dm = np.triu(np.array(upper).reshape(n, n), 1)
+    dm = dm + dm.T
+    order = solve_exact(dm).order
+    assert sorted(order) == list(range(n))
+    oracle = brute_force_cycle(dm)
+    oracle_cost = tour_cost(dm, oracle)
+    if oracle_cost < math.inf:
+        assert tour_cost(dm, TourOrder(order)) == oracle_cost
+    else:
+        assert order == tuple(range(n))
+
+
 def test_exact_cost_is_label_equivariant():
     rng = np.random.default_rng(13)
     dm = _euclidean_matrix(rng.uniform(0, 1, (7, 2)))
