@@ -157,7 +157,7 @@ def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     out = None
     for joints, limits in groups:
         cost = joint_cost(_max_distance(a, b, joints), *limits)
-        out = np.asarray(cost) if out is None else np.maximum(out, cost, out=out)
+        out = cost if out is None else np.maximum(out, cost, out=out)
     return out
 
 
@@ -167,10 +167,7 @@ def _max_distance(a: np.ndarray, b: np.ndarray, joints: tuple) -> np.ndarray:
     The buffer is freed on return, before the cost formula allocates its own.
     """
     dist = np.abs(a[..., joints[0]] - b[..., joints[0]])
-    if dist.ndim == 0:  # a single move: numpy scalars, no block to reuse
-        for k in joints[1:]:
-            dist = np.maximum(dist, np.abs(a[..., k] - b[..., k]))
-    elif len(joints) > 1:
+    if len(joints) > 1:
         scratch = np.empty_like(dist)
         for k in joints[1:]:
             np.abs(np.subtract(a[..., k], b[..., k], out=scratch), out=scratch)
@@ -185,10 +182,8 @@ def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     # and only the entries below c are overwritten, so each entry gets exactly
     # the operations that np.where(dist >= c, long, short) would pick, without
     # a square root for the long moves. A NaN distance is NaN either way.
-    out = np.asarray(dist / vmax + vmax / amax)
-    short = np.asarray(dist < vmax * vmax / amax)
-    if out.ndim == 0:  # a single move
-        return 2.0 * np.sqrt(dist / amax) if short else out
+    out = dist / vmax + vmax / amax
+    short = dist < vmax * vmax / amax
     if np.ndim(amax):  # per-entry limits
         amax = np.broadcast_to(amax, out.shape)[short]
     out[short] = 2.0 * np.sqrt(dist[short] / amax)
@@ -199,11 +194,11 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
     """Cost of every move from stack ``a`` to stack ``b`` under the metric ``kind``.
 
     Joints lie on the last axis; the leading axes broadcast against each
-    other. Raises ``ValueError`` when the stacks and ``params`` disagree on
-    the number of joints.
+    other, and one move is a stack of one. Raises ``ValueError`` when the
+    stacks and ``params`` disagree on the number of joints.
     """
     kind = MetricKind(kind)
-    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not a.shape[-1] == b.shape[-1] == params.weights.size:
         raise ValueError(
             f"joint count mismatch: stacks of {a.shape[-1]} and {b.shape[-1]} joints, "
@@ -222,13 +217,13 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
     """sqrt(sum_k w_k (q'_k - q_k)^2); weights multiply the squared difference."""
     unit = np.ones(np.size(weights))
-    return float(_price(MetricKind.WEIGHTED_EUCLIDEAN, MetricParams(weights, unit, unit), q, q_to))
+    return float(_price(MetricKind.WEIGHTED_EUCLIDEAN, MetricParams(weights, unit, unit), q, q_to)[0])
 
 
 def max_joint_difference(q: Configuration, q_to: Configuration, vel_max) -> float:
     """Bottleneck travel time max_k |q'_k - q_k| / vel_max_k (seconds)."""
     unit = np.ones(np.size(vel_max))
-    return float(_price(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(unit, vel_max, unit), q, q_to))
+    return float(_price(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(unit, vel_max, unit), q, q_to)[0])
 
 
 def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
@@ -244,7 +239,7 @@ def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
 def linear_interp_duration(q: Configuration, q_to: Configuration, vel_max, acc_max) -> float:
     """Duration of a synchronized straight joint-space move (slowest joint paces all)."""
     params = MetricParams(np.ones(np.size(vel_max)), vel_max, acc_max)
-    return float(_price(MetricKind.LINEAR_INTERP_DURATION, params, q, q_to))
+    return float(_price(MetricKind.LINEAR_INTERP_DURATION, params, q, q_to)[0])
 
 
 def default_weights(robot: RobotModel) -> np.ndarray:
@@ -256,7 +251,7 @@ def default_weights(robot: RobotModel) -> np.ndarray:
 
 def edge_cost(kind: MetricKind, params: MetricParams, q: Configuration, q_to: Configuration) -> float:
     """Cost of the move from ``q`` to ``q_to`` under the metric selected by ``kind``."""
-    return float(_price(kind, params, q, q_to))
+    return float(_price(kind, params, q, q_to)[0])
 
 
 def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,20 +1,22 @@
 """Three-stage sequencing pipeline, comparison baselines, and benchmark harness.
 
-The main solver decouples the problem: (1) order the targets with a
-task-space tour solver, (2) pick one configuration per target optimally for
-that order via the layered-graph shortest path, (3) time-parameterize the
-resulting configuration sequence. Stage 3 uses straight joint-space segments
-under trapezoidal speed profiles: an obstacle-free surrogate for full motion
-planning, and labeled as such in all outputs.
-
-Two reference methods bracket the main solver: a configuration-space TSP that
-freezes one configuration per target by manipulability, and the exact joint
-optimum over every order and configuration choice, by the exact tour's DP.
+Each method is only its step-1 plan: a visiting order, its task-space cost
+and, optionally, a frozen configuration per target. One driver runs the rest
+for every method: IK, (2) one configuration per target by the shortest path
+through the layered graph of the order, or the frozen choice priced in it,
+(3) the time-parameterization of that sequence, the stage clock and counters.
+Stage 3 uses straight joint-space segments under trapezoidal speed profiles:
+an obstacle-free surrogate for full motion planning, labeled as such in all
+outputs. The main solver decouples: its plan is the task-space tour alone.
+Two reference methods bracket it: a C-space tour of configurations frozen by
+manipulability, and the exact joint optimum over every order and choice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -62,6 +64,8 @@ class PipelineConfig:
         object.__setattr__(self, "tsp_solver", SolverKind(self.tsp_solver))
         object.__setattr__(self, "metric", MetricKind(self.metric))
         theta_grid(self.step_size)  # rejects step sizes that do not divide 2*pi
+        if not isinstance(self.rnn_restarts, numbers.Integral) or self.rnn_restarts < 1:
+            raise ValueError(f"rnn_restarts must be an integer of at least 1, got {self.rnn_restarts!r}")
 
 
 @dataclass(frozen=True)
@@ -160,20 +164,18 @@ def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]
     return chosen
 
 
-def _solve_cycle(dm: np.ndarray, config: PipelineConfig, work: dict) -> TourOrder:
-    """Solve the tour with the configured solver; 2-opt writes its counters into ``work``."""
+def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tuple[TourOrder, TourOrder]:
+    """``(cycle, visiting order)`` by the configured solver over ``dm``, whose last
+    node is home when the depot is on; 2-opt writes its counters into ``work``."""
     if config.tsp_solver is SolverKind.EXACT:
-        return tsp.solve_exact(dm)
-    if config.tsp_solver is SolverKind.TWO_OPT:
-        return tsp.solve_2opt(dm, stats=work)
-    restarts = min(max(config.rnn_restarts, 1), dm.shape[0])
-    return tsp.solve_rnn(dm, restarts)
-
-
-def _visit_order(cycle: TourOrder, n: int, include_home_depot: bool) -> TourOrder:
-    if include_home_depot:
-        return tsp.open_order_from_cycle(cycle, depot=n)
-    return TourOrder(cycle.order, TourKind.OPEN_PATH)
+        cycle = tsp.solve_exact(dm)
+    elif config.tsp_solver is SolverKind.TWO_OPT:
+        cycle = tsp.solve_2opt(dm, stats=work)
+    else:
+        cycle = tsp.solve_rnn(dm, min(config.rnn_restarts, dm.shape[0]))
+    if config.include_home_depot:
+        return cycle, tsp.open_order_from_cycle(cycle, depot=task.n)
+    return cycle, TourOrder(cycle.order, TourKind.OPEN_PATH)
 
 
 def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: bool) -> float:
@@ -185,42 +187,94 @@ def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: boo
     return tsp.tour_cost(dm, TourOrder(nodes, TourKind.CLOSED_CYCLE))
 
 
-def _start_stages(task: Task, config: PipelineConfig | None):
-    """Start the stage clock and resolve IK: ``(config, params, ik_sets, marks, work)``.
+def _decoupled_plan(task, config, params, ik_sets, work, lap):
+    """Step 1 of the paper's method: the task-space tour; step 2 then selects freely."""
+    dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
+    cycle, order = _tour(dm, task, config, work)
+    step1_cost = tsp.tour_cost(dm, cycle)
+    lap()
+    return order, step1_cost, None
 
-    ``marks`` holds the wall-clock time at each stage boundary; a runner
-    appends one mark after step 1 and one after step 2. ``work`` holds the
-    IK counters and the tour counters, which stay zero unless step 1 runs 2-opt.
+
+def _frozen_tour_plan(task, config, params, ik_sets, work, lap):
+    """Freeze the best-manipulability configuration per target, then tour the
+    frozen configurations under the configured metric (home as a depot node)."""
+    fixed = manipulability_choice(task, ik_sets)
+    nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
+    if config.include_home_depot:
+        nodes.append(task.home)
+    _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), task, config, work)
+    step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
+    lap()
+    return order, step1_cost, tuple(fixed[t] for t in order.order)
+
+
+def _joint_plan(task, config, params, ik_sets, work, lap):
+    """No step 1: the guard and the subset DP over every order and configuration
+    are one indivisible step 2."""
+    sizes = [s.count for s in ik_sets]
+    moves = (1 << task.n) * sum(sizes) ** 2
+    if moves > GTSP_GUARD_MOVES:
+        raise GuardError(f"joint-search guard: 2^{task.n} x {sum(sizes)}^2 configurations = "
+                         f"{moves} moves exceed {GTSP_GUARD_MOVES}")
+
+    stack = np.concatenate([s.solutions for s in ik_sets])
+    bounds = np.cumsum([0, *sizes])
+    target = np.repeat(np.arange(task.n), sizes)  # of each stacked configuration
+    step = np.zeros((len(stack), len(stack)))  # within a target: no move, left unpriced
+    for lo, hi in zip(bounds, bounds[1:]):
+        for cols in (slice(0, lo), slice(hi, None)):
+            step[lo:hi, cols] = pairwise_cost(config.metric, params, stack[lo:hi], stack[cols])
+    start = pairwise_cost(config.metric, params, task.home, stack)[0]
+    goal = pairwise_cost(config.metric, params, stack, task.home)[:, 0]
+    _, walk = tsp._cluster_walk(start, step, goal, target)
+    order = TourOrder(target[walk], TourKind.OPEN_PATH)
+    chosen = tuple((walk - bounds[target[walk]]).tolist())
+    return order, _task_space_cycle_cost(task, order, config.include_home_depot), chosen
+
+
+#: Each method's label, by its step-1 plan, in the order the ``method`` benchmark axis runs them.
+_METHODS = {_decoupled_plan: "decoupled", _frozen_tour_plan: "cspace_tsp", _joint_plan: "gtsp_exact"}
+
+
+def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
+    """Run one method: IK, its step-1 ``plan``, the selection (step 2), the schedule (step 3).
+
+    ``plan(task, config, params, ik_sets, work, lap)`` returns ``(order,
+    step1_cost, chosen)`` and calls ``lap()`` where its step 1 ends (a plan
+    that never calls it has no step 1). Step 2 takes the shortest selection
+    in the layered graph of ``order``, or prices ``chosen`` there when it is
+    not None. ``work`` holds the IK and tour counters; the tour counters stay
+    zero unless the plan runs 2-opt.
     """
     config = config or PipelineConfig()
     params = MetricParams.from_robot(task.robot)
-    marks = [time.perf_counter()]
     work: dict = {}
+    start = time.perf_counter()
     ik_sets = resolve_ik_sets(task, config.step_size, stats=work)
-    marks.append(time.perf_counter())
+    ik_end = step1_end = time.perf_counter()
     work.update(dict.fromkeys(tsp.TOUR_COUNTERS, 0))
-    return config, params, ik_sets, marks, work
 
+    def lap():
+        nonlocal step1_end
+        step1_end = time.perf_counter()
 
-def _finish_stages(
-    method: str,
-    task: Task,
-    params: MetricParams,
-    ik_sets: list[IkSolutionSet],
-    marks: list[float],
-    work: dict,
-    order: TourOrder,
-    selection: cgraph.SelectionResult,
-    step1_cost: float,
-    graph: cgraph.LayeredGraph,
-) -> PipelineResult:
-    """Run step 3 (the schedule), stop the clock and assemble the result."""
-    chosen = [ik_sets[t].solutions[c] for t, c in zip(order.order, selection.chosen)]
-    sequence = [task.home, *chosen, task.home]
+    order, step1_cost, chosen = plan(task, config, params, ik_sets, work, lap)
+    ordered = [ik_sets[t] for t in order.order]
+    graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
+    if chosen is None:
+        selection = cgraph.shortest_selection(graph)
+    else:
+        total, edges = cgraph.path_cost(graph, chosen)
+        selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
+    step2_end = time.perf_counter()
+
+    configurations = [entry.solutions[c] for entry, c in zip(ordered, selection.chosen)]
+    sequence = [task.home, *configurations, task.home]
     schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
-    marks.append(time.perf_counter())
+    marks = (start, ik_end, step1_end, step2_end, time.perf_counter())
     return PipelineResult(
-        method=method,
+        method=_METHODS[plan],
         order=order,
         selection=selection,
         schedule_duration=schedule,
@@ -249,22 +303,7 @@ def solve_sequence(task: Task, config: PipelineConfig | None = None) -> Pipeline
     Deterministic for a fixed ``(task, config)`` apart from the wall-clock
     timings (reported in milliseconds per stage).
     """
-    config, params, ik_sets, marks, work = _start_stages(task, config)
-
-    dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
-    cycle = _solve_cycle(dm, config, work)
-    order = _visit_order(cycle, task.n, config.include_home_depot)
-    step1_cost = tsp.tour_cost(dm, cycle)
-    marks.append(time.perf_counter())
-
-    ordered = [ik_sets[t] for t in order.order]
-    graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-    selection = cgraph.shortest_selection(graph)
-    marks.append(time.perf_counter())
-
-    return _finish_stages(
-        "decoupled", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
-    )
+    return _run(_decoupled_plan, task, config)
 
 
 def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> PipelineResult:
@@ -276,28 +315,7 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
     selection prices the frozen assignment in the same layered graph the main
     pipeline uses, so the two step-2 costs are directly comparable.
     """
-    config, params, ik_sets, marks, work = _start_stages(task, config)
-
-    fixed = manipulability_choice(task, ik_sets)
-    nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
-    if config.include_home_depot:
-        nodes.append(task.home)
-    dm_cspace = pairwise_cost(config.metric, params, nodes, nodes)
-    cycle = _solve_cycle(dm_cspace, config, work)
-    order = _visit_order(cycle, task.n, config.include_home_depot)
-    step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    marks.append(time.perf_counter())
-
-    ordered = [ik_sets[t] for t in order.order]
-    graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-    chosen = tuple(fixed[t] for t in order.order)
-    total, edges = cgraph.path_cost(graph, chosen)
-    selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
-    marks.append(time.perf_counter())
-
-    return _finish_stages(
-        "cspace_tsp", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
-    )
+    return _run(_frozen_tour_plan, task, config)
 
 
 def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> PipelineResult:
@@ -309,37 +327,7 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     configuration, then the lowest predecessor of each, by (target id, index).
     Refused before any pricing when 2^n V^2 moves (V configurations) exceed the guard.
     """
-    config, params, ik_sets, marks, work = _start_stages(task, config)
-    marks.append(marks[-1])  # no step 1: the joint search is one indivisible step 2
-
-    sizes = [s.count for s in ik_sets]
-    moves = (1 << task.n) * sum(sizes) ** 2
-    if moves > GTSP_GUARD_MOVES:
-        raise GuardError(f"joint-search guard: 2^{task.n} x {sum(sizes)}^2 configurations = "
-                         f"{moves} moves exceed {GTSP_GUARD_MOVES}")
-
-    stack = np.concatenate([s.solutions for s in ik_sets])
-    bounds = np.cumsum([0, *sizes])
-    target = np.repeat(np.arange(task.n), sizes)  # of each stacked configuration
-    step = np.zeros((len(stack), len(stack)))  # within a target: no move, left unpriced
-    for lo, hi in zip(bounds, bounds[1:]):
-        for cols in (slice(0, lo), slice(hi, None)):
-            step[lo:hi, cols] = pairwise_cost(config.metric, params, stack[lo:hi], stack[cols])
-    start = pairwise_cost(config.metric, params, task.home, stack)[0]
-    goal = pairwise_cost(config.metric, params, stack, task.home)[:, 0]
-    _, walk = tsp._cluster_walk(start, step, goal, target)
-    order = TourOrder(target[walk], TourKind.OPEN_PATH)
-    chosen = tuple((walk - bounds[target[walk]]).tolist())
-    ordered = [ik_sets[t] for t in order.order]
-    graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-    total, edges = cgraph.path_cost(graph, chosen)
-    selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
-    step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    marks.append(time.perf_counter())
-
-    return _finish_stages(
-        "gtsp_exact", task, params, ik_sets, marks, work, order, selection, step1_cost, graph
-    )
+    return _run(_joint_plan, task, config)
 
 
 def instance_seed(seed: int, n: int, repeat: int) -> int:
@@ -365,11 +353,7 @@ def _benchmark_variants(axis: str, config: PipelineConfig):
             for label, step in STEP_SIZE_VARIANTS
         ]
     if axis == "method":
-        return [
-            ("decoupled", config, solve_sequence),
-            ("cspace_tsp", config, baseline_cspace_tsp),
-            ("gtsp_exact", config, baseline_gtsp_exact),
-        ]
+        return [(label, config, functools.partial(_run, plan)) for plan, label in _METHODS.items()]
     raise ValueError(f"unknown benchmark axis {axis!r} (expected one of {BENCHMARK_AXES})")
 
 

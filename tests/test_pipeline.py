@@ -205,6 +205,36 @@ def test_runners_report_the_same_timings_and_counts():
     assert results[2].timings["step1_ms"] == 0.0
 
 
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("mode", ["planar", "explicit_ik"])
+@pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])
+def test_every_method_prices_its_choice_in_the_graph_of_its_order(runner, mode, metric):
+    # cspace_tsp ranks several configurations of a target only on the planar arm.
+    m_max = 1 if (runner, mode) == (baseline_cspace_tsp, "explicit_ik") else 3
+    task = generate_random_task(5, m_max, seed=4, mode=mode)
+    config = PipelineConfig(metric=metric, step_size=math.pi / 2)
+    result = runner(task, config)
+    params = MetricParams.from_robot(task.robot)
+    ik_sets = resolve_ik_sets(task, config.step_size)
+    ordered = [ik_sets[t] for t in result.order.order]
+    graph = build_layered_graph(task.home, ordered, metric, params)
+    chosen = result.selection.chosen
+    total, edges = path_cost(graph, chosen)
+    assert (result.selection.total_cost, result.selection.per_edge_costs) == (total, edges)
+    sequence = [task.home, *(entry.solutions[c] for entry, c in zip(ordered, chosen)), task.home]
+    schedule = execute_trajectory_schedule(sequence, params.vel_max, params.acc_max)
+    assert result.schedule_duration == schedule
+    assert (result.counts["edges"], result.counts["vertices"], result.counts["step_cost_bytes"],
+            result.counts["price_calls"]) == (graph.edge_count, graph.vertex_count,
+                                              graph.step_cost_bytes, graph.price_calls)
+
+
+@pytest.mark.parametrize("restarts", [0, -3, 2.5])
+def test_config_refuses_rnn_restarts_that_are_not_a_positive_integer(restarts):
+    with pytest.raises(ValueError, match="rnn_restarts"):
+        PipelineConfig(tsp_solver=SolverKind.RNN, rnn_restarts=restarts)
+
+
 def test_tour_counters_come_from_2opt_and_are_zero_for_other_solvers():
     task = generate_random_task(40, 1, seed=5, mode="planar")
     stats = {}
