@@ -16,6 +16,7 @@ invalid task file) exits 2 there and 1 elsewhere. All randomness enters through
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -45,9 +46,7 @@ from .tsp import (
 SCHEDULE_MODEL = "straight_joint_interpolation_obstacle_free"
 
 METRIC_CHOICES = {
-    "weighted_euclidean": MetricKind.WEIGHTED_EUCLIDEAN,
-    "max_joint_difference": MetricKind.MAX_JOINT_DIFFERENCE,
-    "linear_interp_duration": MetricKind.LINEAR_INTERP_DURATION,
+    **{kind.value: kind for kind in MetricKind},
     "linear_interp": MetricKind.LINEAR_INTERP_DURATION,
 }
 
@@ -149,13 +148,7 @@ def task_from_dict(doc: dict) -> Task:
 
 def result_to_dict(result, config: PipelineConfig) -> dict:
     return {
-        "config": {
-            "tsp_solver": config.tsp_solver.value,
-            "metric": config.metric.value,
-            "step_size": float(config.step_size),
-            "rnn_restarts": config.rnn_restarts,
-            "include_home_depot": config.include_home_depot,
-        },
+        "config": dataclasses.asdict(config),  # both enums subclass str, so JSON writes their values
         "method": result.method,
         "schedule_model": SCHEDULE_MODEL,
         "order": list(result.order.order),

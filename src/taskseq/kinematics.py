@@ -81,13 +81,18 @@ def _links(arm: RobotModel) -> np.ndarray:
     return arm.planar_links
 
 
-def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
-    """End-effector pose of the planar chain: x = sum L_j cos(q_1+..+q_j), etc."""
+def _chain(arm: RobotModel, q: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """The links of the planar chain and the absolute angle q_1+..+q_j of each link."""
     links = _links(arm)
     q = np.asarray(q, dtype=float)
     if q.size != links.size:
         raise ValueError(f"configuration length {q.size} != dof {links.size}")
-    angles = np.cumsum(q)
+    return links, np.cumsum(q)
+
+
+def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
+    """End-effector pose of the planar chain: x = sum L_j cos(q_1+..+q_j), etc."""
+    links, angles = _chain(arm, q)
     x = float(np.sum(links * np.cos(angles)))
     y = float(np.sum(links * np.sin(angles)))
     return Pose2D(x=x, y=y, theta=wrap_angle(float(angles[-1])))
@@ -223,11 +228,7 @@ def ik_targets(
 
 def jacobian(arm: RobotModel, q: Configuration) -> np.ndarray:
     """Analytic 2 x dof position Jacobian of the planar chain."""
-    links = _links(arm)
-    q = np.asarray(q, dtype=float)
-    if q.size != links.size:
-        raise ValueError(f"configuration length {q.size} != dof {links.size}")
-    angles = np.cumsum(q)
+    links, angles = _chain(arm, q)
     sines = links * np.sin(angles)
     cosines = links * np.cos(angles)
     # Column j sums contributions of all links at or beyond joint j.

@@ -70,7 +70,7 @@ class MetricParams:
     @cached_property
     def speed_groups(self) -> tuple:
         """Joint groups of equal ``vel_max``, each priced once by ``max_joint_difference``."""
-        return _group_joints((self.vel_max,), lambda vmax: True)
+        return _group_joints((self.vel_max,), _always_folds)
 
     @cached_property
     def trapezoid_groups(self) -> tuple:
@@ -119,6 +119,11 @@ def _grouped(limits: tuple, fold_ok) -> tuple:
         else:
             groups.append((tuple(joints), key))
     return tuple(groups)
+
+
+def _always_folds(vmax: float) -> bool:
+    """Division by a positive limit never decreases as the distance grows."""
+    return True
 
 
 def _trapezoid_is_monotone(vmax: float, amax: float) -> bool:

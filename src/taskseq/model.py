@@ -202,18 +202,7 @@ def validate_task(task: Task) -> ValidationReport:
                 # Not an in-range (m, dof) array: name every configuration at fault.
                 faults = len(report)
                 for k, q in enumerate(sols):
-                    if q.size != robot.dof:
-                        report.append(
-                            f"{name} ik_solutions[{k}] length mismatch: "
-                            f"expected {robot.dof}, got {q.size}"
-                        )
-                    elif not np.all(np.isfinite(q)):
-                        report.append(f"{name} ik_solutions[{k}] contains non-finite entries")
-                    elif not _in_range(q, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT):
-                        report.append(
-                            f"{name} ik_solutions[{k}] entries must lie in "
-                            f"[{-MAGNITUDE_LIMIT:g}, {MAGNITUDE_LIMIT:g}]"
-                        )
+                    _check_vector(report, q, f"{name} ik_solutions[{k}]", robot.dof, positive=False)
                 if len(report) == faults:  # rows of dof entries, but not all flat
                     report.append(f"{name} ik_solutions rows must be flat lists of numbers")
         if target.position is None:
@@ -222,11 +211,7 @@ def validate_task(task: Task) -> ValidationReport:
         elif target.position.size != 2:
             report.append(f"{name} position must be a 2-D point")
         elif not _in_range(target.position, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT):
-            report.append(
-                f"{name} position entries must lie in [{-MAGNITUDE_LIMIT:g}, {MAGNITUDE_LIMIT:g}]"
-                if np.all(np.isfinite(target.position))
-                else f"{name} position contains non-finite entries"
-            )
+            _check_vector(report, target.position, f"{name} position", 2, positive=False)
         elif sols is None:
             if not robot.is_planar:
                 report.append(f"{name} has only a position but the robot has no planar links")

@@ -41,7 +41,14 @@ STEP_SIZE_VARIANTS = (
     ("pi/12", math.pi / 12),
 )
 
-BENCHMARK_AXES = ("tsp_solver", "metric", "step_size", "method")
+#: ``(label, value)`` pairs of each config field a benchmark axis sweeps, in run order.
+_SWEEPS = {
+    "tsp_solver": tuple((kind.value, kind) for kind in SolverKind),
+    "metric": tuple((kind.value, kind) for kind in MetricKind),
+    "step_size": STEP_SIZE_VARIANTS,
+}
+
+BENCHMARK_AXES = (*_SWEEPS, "method")
 
 BENCHMARK_FIELDS = (
     "axis", "variant", "n", "repeat", "seed",
@@ -64,8 +71,11 @@ class PipelineConfig:
         object.__setattr__(self, "tsp_solver", SolverKind(self.tsp_solver))
         object.__setattr__(self, "metric", MetricKind(self.metric))
         theta_grid(self.step_size)  # rejects step sizes that do not divide 2*pi
-        if not isinstance(self.rnn_restarts, numbers.Integral) or self.rnn_restarts < 1:
-            raise ValueError(f"rnn_restarts must be an integer of at least 1, got {self.rnn_restarts!r}")
+        restarts = self.rnn_restarts
+        if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
+            raise ValueError(f"rnn_restarts must be an integer of at least 1, got {restarts!r}")
+        if not isinstance(self.include_home_depot, bool):
+            raise ValueError(f"include_home_depot must be a bool, got {self.include_home_depot!r}")
 
 
 @dataclass(frozen=True)
@@ -88,27 +98,22 @@ def resolve_ik_sets(
 
     Explicit configuration lists pass through; planar targets are solved over
     the orientation grid, all in one :func:`~taskseq.kinematics.ik_pool` call
-    made when the first of them is reached. A target that ends up with no
-    configuration at all aborts the pipeline before any tour is attempted; the
-    first such target in id order is the one reported. ``stats``, when given,
-    receives the IK_COUNTERS: every explicit configuration counts as one pose
-    tried, and each planar target as two per grid orientation.
+    made before the loop, if any. A target that ends up with no configuration
+    at all aborts the pipeline before any tour is attempted; the first such
+    target in id order is the one reported. ``stats``, when given, receives
+    the IK_COUNTERS: every explicit configuration counts as one pose tried,
+    and each planar target as two per grid orientation.
     """
     work = dict.fromkeys(IK_COUNTERS, 0)
     explicit = 0
-    pooled = None
+    positions = [t.position for t in task.targets if t.ik_solutions is None and t.position is not None]
+    pooled = iter(ik_pool(task.robot, positions, step_size, stats=work) if positions else ())
     sets = []
     for target in task.targets:
         if target.ik_solutions is not None:
             entry = IkSolutionSet(target_id=target.id, solutions=target.ik_solutions)
             explicit += entry.count
         elif target.position is not None:
-            if pooled is None:
-                positions = [
-                    t.position for t in task.targets
-                    if t.ik_solutions is None and t.position is not None
-                ]
-                pooled = iter(ik_pool(task.robot, positions, step_size, stats=work))
             entry = IkSolutionSet(target_id=target.id, solutions=next(pooled))
         else:
             raise ValueError(f"target {target.id} has neither configurations nor a position")
@@ -337,21 +342,9 @@ def instance_seed(seed: int, n: int, repeat: int) -> int:
 
 def _benchmark_variants(axis: str, config: PipelineConfig):
     """(label, config, runner) triples for one benchmark axis."""
-    if axis == "tsp_solver":
-        return [
-            (kind.value, replace(config, tsp_solver=kind), solve_sequence)
-            for kind in (SolverKind.EXACT, SolverKind.TWO_OPT, SolverKind.RNN)
-        ]
-    if axis == "metric":
-        return [
-            (kind.value, replace(config, metric=kind), solve_sequence)
-            for kind in MetricKind
-        ]
-    if axis == "step_size":
-        return [
-            (label, replace(config, step_size=step), solve_sequence)
-            for label, step in STEP_SIZE_VARIANTS
-        ]
+    if axis in _SWEEPS:
+        return [(label, replace(config, **{axis: value}), solve_sequence)
+                for label, value in _SWEEPS[axis]]
     if axis == "method":
         return [(label, config, functools.partial(_run, plan)) for plan, label in _METHODS.items()]
     raise ValueError(f"unknown benchmark axis {axis!r} (expected one of {BENCHMARK_AXES})")

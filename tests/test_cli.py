@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from taskseq.cli import main, parse_step_size, task_from_dict, task_to_dict
+from taskseq.cli import main, parse_step_size, result_to_dict, task_from_dict, task_to_dict
 from taskseq.model import RobotModel, Task, TaskTarget, generate_random_task
-from taskseq.pipeline import BENCHMARK_FIELDS
+from taskseq.metrics import MetricKind
+from taskseq.pipeline import BENCHMARK_FIELDS, PipelineConfig, solve_sequence
+from taskseq.tsp import SolverKind
 
 CSV_HEADER = ",".join(BENCHMARK_FIELDS)
 TIMING_COLUMNS = {"step1_ms", "ik_ms", "step2_ms", "step3_ms"}
@@ -153,6 +155,18 @@ def test_solve_result_is_stable_modulo_timings(tmp_path):
     }
     assert doc["schedule_model"]
     assert doc["step1_cost"] >= 0.0 and doc["step2_cost"] >= 0.0
+
+
+def test_result_file_echoes_every_config_field_as_json_native_values():
+    config = PipelineConfig(tsp_solver=SolverKind.RNN, metric=MetricKind.WEIGHTED_EUCLIDEAN,
+                            step_size=math.pi / 2, rnn_restarts=3, include_home_depot=False)
+    assert all(getattr(config, f) != getattr(PipelineConfig(), f) for f in config.__dataclass_fields__)
+    task = generate_random_task(3, 2, seed=4, mode="explicit_ik")
+    echo = json.loads(json.dumps(result_to_dict(solve_sequence(task, config), config)))["config"]
+    assert PipelineConfig(**echo) == config
+    assert echo == {"tsp_solver": "rnn", "metric": "weighted_euclidean", "step_size": math.pi / 2,
+                    "rnn_restarts": 3, "include_home_depot": False}
+    assert [type(value) for value in echo.values()] == [str, str, float, int, bool]
 
 
 def test_solve_exact_guard_exits_1(tmp_path, capsys):

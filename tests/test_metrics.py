@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from taskseq.metrics import (
     MetricKind,
     MetricParams,
+    _grouped,
     _trapezoid_is_monotone,
     _trapezoid_kernel,
     default_weights,
@@ -351,6 +352,16 @@ _NON_POSITIVE_LIMITS = [
     ([1.0, 1.0, 1.0], [1.0, -1.0, 1.0]),
     ([1.0, 1.0, 1.0], [1.0, 1.0, 0.0]),
 ]
+
+
+@pytest.mark.parametrize("kind", [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION])
+def test_joint_groups_are_cached_by_the_limit_values(kind):
+    # Ten scalar calls with the same limits group them once and hit the cache nine times.
+    _grouped.cache_clear()
+    q, q_to, limits = np.zeros(6), np.linspace(0.1, 0.6, 6), [1.0, 2.0, 1.0, 3.0, 2.0, 1.0]
+    for _ in range(10):
+        edge_cost(kind, MetricParams(np.ones(6), limits, limits), q, q_to)
+    assert (_grouped.cache_info().hits, _grouped.cache_info().misses) == (9, 1)
 
 
 @pytest.mark.parametrize("vel_max,acc_max", _NON_POSITIVE_LIMITS)

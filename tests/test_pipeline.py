@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,8 +11,10 @@ from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
 from taskseq.metrics import MetricKind, MetricParams
 from taskseq.model import GuardError, RobotModel, Task, TaskTarget, generate_random_task
 from taskseq.pipeline import (
+    BENCHMARK_AXES,
     GTSP_GUARD_MOVES,
     PipelineConfig,
+    _benchmark_variants,
     baseline_cspace_tsp,
     baseline_gtsp_exact,
     benchmark_run,
@@ -229,10 +232,16 @@ def test_every_method_prices_its_choice_in_the_graph_of_its_order(runner, mode, 
                                               graph.step_cost_bytes, graph.price_calls)
 
 
-@pytest.mark.parametrize("restarts", [0, -3, 2.5])
+@pytest.mark.parametrize("restarts", [0, -3, 2.5, True])
 def test_config_refuses_rnn_restarts_that_are_not_a_positive_integer(restarts):
     with pytest.raises(ValueError, match="rnn_restarts"):
         PipelineConfig(tsp_solver=SolverKind.RNN, rnn_restarts=restarts)
+
+
+@pytest.mark.parametrize("depot", ["no", 0, None])
+def test_config_refuses_a_depot_flag_that_is_not_a_bool(depot):
+    with pytest.raises(ValueError, match="include_home_depot"):
+        PipelineConfig(include_home_depot=depot)
 
 
 def test_tour_counters_come_from_2opt_and_are_zero_for_other_solvers():
@@ -351,6 +360,33 @@ def test_benchmark_guard_refusals_are_flagged_rows():
     assert math.isnan(exact_rows[0]["step2_cost"])
     others = [r for r in rows if r["variant"] != "exact"]
     assert all(not math.isnan(r["step2_cost"]) for r in others)
+
+
+_AXIS_VARIANTS = {
+    "tsp_solver": ("exact", "two_opt", "rnn"),
+    "metric": ("weighted_euclidean", "max_joint_difference", "linear_interp_duration"),
+    "step_size": ("pi", "pi/2", "pi/3", "pi/4", "pi/6", "pi/12"),
+    "method": ("decoupled", "cspace_tsp", "gtsp_exact"),
+}
+
+
+@pytest.mark.parametrize("axis", list(_AXIS_VARIANTS))
+def test_benchmark_axis_variants_keep_their_labels_order_and_field(axis):
+    assert BENCHMARK_AXES == tuple(_AXIS_VARIANTS)
+    base = PipelineConfig(tsp_solver=SolverKind.RNN, metric=MetricKind.WEIGHTED_EUCLIDEAN,
+                          step_size=math.pi / 5, rnn_restarts=3, include_home_depot=False)
+    variants = _benchmark_variants(axis, base)
+    assert tuple(label for label, _, _ in variants) == _AXIS_VARIANTS[axis]
+    if axis == "method":
+        assert all(config == base for _, config, _ in variants)
+        return
+    for _, config, _ in variants:  # the swept field set, every other field as in base
+        assert dataclasses.replace(config, **{axis: getattr(base, axis)}) == base
+    swept = [getattr(config, axis) for _, config, _ in variants]
+    if axis == "step_size":
+        assert swept == [math.pi, math.pi / 2, math.pi / 3, math.pi / 4, math.pi / 6, math.pi / 12]
+    else:
+        assert [value.value for value in swept] == list(_AXIS_VARIANTS[axis])
 
 
 def test_benchmark_rejects_unknown_axis():
