@@ -22,7 +22,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -67,17 +66,6 @@ class MetricParams:
         if not (np.all(self.vel_max > 0.0) and np.all(self.acc_max > 0.0)):
             raise ValueError("vel_max and acc_max must be positive")
 
-    @cached_property
-    def speed_groups(self) -> tuple:
-        """Joint groups of equal ``vel_max``, each priced once by ``max_joint_difference``."""
-        return _group_joints((self.vel_max,), _always_folds)
-
-    @cached_property
-    def trapezoid_groups(self) -> tuple:
-        """Joint groups of equal (``vel_max``, ``acc_max``), each priced once by
-        ``linear_interp_duration`` when the trapezoid formula is monotone for it."""
-        return _group_joints((self.vel_max, self.acc_max), _trapezoid_is_monotone)
-
     @classmethod
     def from_robot(cls, robot: RobotModel) -> "MetricParams":
         """Derive params from a robot; weights default to link reach (planar) or 1."""
@@ -94,36 +82,28 @@ class MetricParams:
 # block and a whole schedule run the same arithmetic and get the same bits.
 
 
-def _group_joints(limits, fold_ok) -> tuple:
+@functools.lru_cache(maxsize=64)
+def _joint_groups(*limits: bytes) -> tuple:
     """``((joints, limit_values), ...)``: the joints that share every limit, in
-    order of their first joint.
+    order of their first joint, from the float64 bytes of each limit array.
 
-    A shared limit tuple for which ``fold_ok`` is false is split into one
+    :func:`_price` passes ``vel_max`` alone for ``max_joint_difference``, and
+    ``vel_max, acc_max`` for ``linear_interp_duration``; in the second case a
+    shared pair for which the trapezoid is not monotone is split into one
     group per joint, so its joints are priced one at a time. The grouping is
     cached by the limit values, so the scalar metrics, which build fresh
     params on every call, do not regroup the same limits.
     """
-    return _grouped(tuple([lim.tobytes() for lim in limits]), fold_ok)
-
-
-@functools.lru_cache(maxsize=64)
-def _grouped(limits: tuple, fold_ok) -> tuple:
-    """:func:`_group_joints` on the float64 bytes of each limit array, a cheap cache key."""
     members: dict = {}
     for k, key in enumerate(zip(*(np.frombuffer(lim).tolist() for lim in limits))):
         members.setdefault(key, []).append(k)
     groups = []
     for key, joints in members.items():
-        if len(joints) > 1 and not fold_ok(*key):
+        if len(joints) > 1 and len(limits) == 2 and not _trapezoid_is_monotone(*key):
             groups.extend(((k,), key) for k in joints)
         else:
             groups.append((tuple(joints), key))
     return tuple(groups)
-
-
-def _always_folds(vmax: float) -> bool:
-    """Division by a positive limit never decreases as the distance grows."""
-    return True
 
 
 def _trapezoid_is_monotone(vmax: float, amax: float) -> bool:
@@ -132,30 +112,30 @@ def _trapezoid_is_monotone(vmax: float, amax: float) -> bool:
     Each branch is a chain of correctly rounded operations on d, so it is
     monotone; the one place the formula can drop is where the short-move
     branch hands over to the long-move one, at c = vmax * vmax / amax. So
-    f(prevfloat(c)) <= f(c) is the exact condition. It fails for some limits,
-    e.g. vmax=0.05407598572326695, amax=3.8795177930322358. The kernel's two
-    branches are written out in Python floats, which round like numpy's
-    float64 ufuncs and never warn (a test pins the two against each other).
-    When c == 0 every distance takes the long-move branch.
+    f(prevfloat(c)) <= f(c) is the exact condition, read off the kernel. It
+    fails for some limits, e.g. vmax=0.05407598572326695,
+    amax=3.8795177930322358. A limit at inf makes the kernel divide inf by
+    inf, and a NaN at c compares false, so such a pair is split. When c == 0
+    both distances are 0 and take the long-move branch.
     """
     c = vmax * vmax / amax
-    if c == 0.0:
-        return True
-    below = math.nextafter(c, 0.0)
-    return 2.0 * math.sqrt(below / amax) <= c / vmax + vmax / amax
+    with np.errstate(over="ignore", invalid="ignore"):
+        below, at = _trapezoid_kernel(np.array([math.nextafter(c, 0.0), c]), vmax, amax)
+    return bool(below <= at)
 
 
 def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, *limits of k)``.
 
-    ``groups`` comes from :class:`MetricParams`: each group is a set of joints
-    that share their limits, and ``joint_cost`` is monotone non-decreasing in
-    the distance for those limits. For such a cost, max_k f(d_k) is exactly
-    f(max_k d_k), so the cost formula runs once per group, on the group's
-    largest distances. A max is exact in any order, so the result has the
-    bits of pricing every joint and reducing over the full cost array, and a
-    graph block never holds an (m_a, m_b, dof) array. Callers check that
-    ``a``, ``b`` and the limits have the same number of joints.
+    ``groups`` comes from :func:`_joint_groups` of the params' limits: each
+    group is a set of joints that share their limits, and ``joint_cost`` is
+    monotone non-decreasing in the distance for those limits. For such a
+    cost, max_k f(d_k) is exactly f(max_k d_k), so the cost formula runs once
+    per group, on the group's largest distances. A max is exact in any order,
+    so the result has the bits of pricing every joint and reducing over the
+    full cost array, and a graph block never holds an (m_a, m_b, dof) array.
+    Callers check that ``a``, ``b`` and the limits have the same number of
+    joints.
     """
     if a.shape[-1] == 0:
         raise ValueError("cannot price a move of zero joints")
@@ -189,8 +169,6 @@ def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     # a square root for the long moves. A NaN distance is NaN either way.
     out = dist / vmax + vmax / amax
     short = dist < vmax * vmax / amax
-    if np.ndim(amax):  # per-entry limits
-        amax = np.broadcast_to(amax, out.shape)[short]
     out[short] = 2.0 * np.sqrt(dist[short] / amax)
     return out
 
@@ -215,8 +193,9 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
         diff = a - b
         return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return _joint_max(a, b, np.divide, params.speed_groups)
-    return _joint_max(a, b, _trapezoid_kernel, params.trapezoid_groups)
+        return _joint_max(a, b, np.divide, _joint_groups(params.vel_max.tobytes()))
+    groups = _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes())
+    return _joint_max(a, b, _trapezoid_kernel, groups)
 
 
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:

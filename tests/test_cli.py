@@ -157,9 +157,11 @@ def test_solve_result_is_stable_modulo_timings(tmp_path):
     assert doc["step1_cost"] >= 0.0 and doc["step2_cost"] >= 0.0
 
 
-def test_result_file_echoes_every_config_field_as_json_native_values():
+@pytest.mark.parametrize("step_size,restarts", [(math.pi / 2, 3), (np.float64(math.pi / 2), np.int64(3))],
+                         ids=["python", "numpy"])
+def test_result_file_echoes_every_config_field_as_json_native_values(step_size, restarts):
     config = PipelineConfig(tsp_solver=SolverKind.RNN, metric=MetricKind.WEIGHTED_EUCLIDEAN,
-                            step_size=math.pi / 2, rnn_restarts=3, include_home_depot=False)
+                            step_size=step_size, rnn_restarts=restarts, include_home_depot=False)
     assert all(getattr(config, f) != getattr(PipelineConfig(), f) for f in config.__dataclass_fields__)
     task = generate_random_task(3, 2, seed=4, mode="explicit_ik")
     echo = json.loads(json.dumps(result_to_dict(solve_sequence(task, config), config)))["config"]

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from taskseq.metrics import (
     MetricKind,
     MetricParams,
-    _grouped,
+    _joint_groups,
     _trapezoid_is_monotone,
     _trapezoid_kernel,
     default_weights,
@@ -262,8 +262,9 @@ def test_grouped_pricing_matches_the_per_joint_formula(kind, drawn):
 def test_joints_with_equal_limits_are_grouped_unless_the_trapezoid_drops():
     v, a = _NON_MONOTONE
     params = MetricParams(np.ones(4), [1.0, v, 1.0, v], [1.0, a, 1.0, a])
-    assert params.speed_groups == (((0, 2), (1.0,)), ((1, 3), (v,)))
-    assert params.trapezoid_groups == (((0, 2), (1.0, 1.0)), ((1,), (v, a)), ((3,), (v, a)))
+    speed, trapezoid = params.vel_max.tobytes(), params.acc_max.tobytes()
+    assert _joint_groups(speed) == (((0, 2), (1.0,)), ((1, 3), (v,)))
+    assert _joint_groups(speed, trapezoid) == (((0, 2), (1.0, 1.0)), ((1,), (v, a)), ((3,), (v, a)))
     # The drop itself: one joint just below c costs more than another at c.
     c = v * v / a
     move = np.array([[0.0, math.nextafter(c, 0.0), 0.0, c]])
@@ -277,7 +278,11 @@ def test_monotonicity_check_agrees_with_the_kernel_on_random_limits():
     rng = np.random.default_rng(2)
     vmax, amax = rng.uniform(0.01, 5.0, 20000), rng.uniform(0.01, 5.0, 20000)
     c = vmax * vmax / amax
-    drops = _trapezoid_kernel(np.nextafter(c, 0.0), vmax, amax) > _trapezoid_kernel(c, vmax, amax)
+
+    def two_branch(dist):
+        return np.where(dist >= c, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
+
+    drops = two_branch(np.nextafter(c, 0.0)) > two_branch(c)
     assert 10 < np.count_nonzero(drops) < 200
     flagged = [not _trapezoid_is_monotone(v, a) for v, a in zip(vmax.tolist(), amax.tolist())]
     assert flagged == drops.tolist()
@@ -300,23 +305,27 @@ def test_single_branch_kernel_matches_the_two_branch_formula_around_c(vmax, amax
     assert _trapezoid_kernel(dist, vmax, amax).tobytes() == two_branch.tobytes()
     for d, expected in zip(dist, two_branch):  # the single-move path
         assert trapezoid_duration_1d(d, vmax, amax) == expected
-    per_entry = np.full(dist.shape, vmax), np.full(dist.shape, amax)
-    assert _trapezoid_kernel(dist, *per_entry).tobytes() == two_branch.tobytes()
+
+
+_ONE_GROUP = ((0, 1, 2),)
 
 
 @pytest.mark.parametrize(
-    "vmax,amax",
-    [(1e-200, 1.0), (1e-170, 1e-30), (1e200, 1.0), (1e200, 0.5), (1e160, 1e-30)],
+    "vmax,amax,groups",
+    [(1e-200, 1.0, _ONE_GROUP), (1e-170, 1e-30, _ONE_GROUP), (1e200, 1.0, _ONE_GROUP),
+     (1e200, 0.5, _ONE_GROUP), (1e160, 1e-30, _ONE_GROUP),
+     (math.inf, 1.0, ((0,), (1,), (2,))), (1.0, math.inf, _ONE_GROUP)],
     ids=["c-underflows", "c-underflows-small-amax", "c-overflows", "c-overflows-prev-overflows",
-         "c-overflows-small-amax"],
+         "c-overflows-small-amax", "vmax-inf-splits", "amax-inf"],
 )
-def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax):
+def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax, groups):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         c = vmax * vmax / amax
         assert c in (0.0, math.inf)
         params = MetricParams(np.ones(3), [vmax] * 3, [amax] * 3)
-        assert params.trapezoid_groups == (((0, 1, 2), (vmax, amax)),)
+        expected = tuple((joints, (vmax, amax)) for joints in groups)
+        assert _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes()) == expected
         a = np.array([[0.5, -1.0, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         b = np.zeros((2, 3))
         kind = MetricKind.LINEAR_INTERP_DURATION
@@ -357,11 +366,11 @@ _NON_POSITIVE_LIMITS = [
 @pytest.mark.parametrize("kind", [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION])
 def test_joint_groups_are_cached_by_the_limit_values(kind):
     # Ten scalar calls with the same limits group them once and hit the cache nine times.
-    _grouped.cache_clear()
+    _joint_groups.cache_clear()
     q, q_to, limits = np.zeros(6), np.linspace(0.1, 0.6, 6), [1.0, 2.0, 1.0, 3.0, 2.0, 1.0]
     for _ in range(10):
         edge_cost(kind, MetricParams(np.ones(6), limits, limits), q, q_to)
-    assert (_grouped.cache_info().hits, _grouped.cache_info().misses) == (9, 1)
+    assert (_joint_groups.cache_info().hits, _joint_groups.cache_info().misses) == (9, 1)
 
 
 @pytest.mark.parametrize("vel_max,acc_max", _NON_POSITIVE_LIMITS)

@@ -238,6 +238,13 @@ def test_config_refuses_rnn_restarts_that_are_not_a_positive_integer(restarts):
         PipelineConfig(tsp_solver=SolverKind.RNN, rnn_restarts=restarts)
 
 
+@pytest.mark.parametrize("step", ["pi/4", None, np.float32(math.pi / 2)], ids=["text", "none", "float32"])
+def test_config_refuses_a_step_size_that_is_not_a_real_dividing_2pi(step):
+    # float() of a float32 pi/2 does not divide 2*pi, so it is refused, not gridded in float32.
+    with pytest.raises(ValueError, match="step_size"):
+        PipelineConfig(step_size=step)
+
+
 @pytest.mark.parametrize("depot", ["no", 0, None])
 def test_config_refuses_a_depot_flag_that_is_not_a_bool(depot):
     with pytest.raises(ValueError, match="include_home_depot"):
