@@ -19,6 +19,7 @@ the last bits of most poses. So each pose has the bits of the scalar formula.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,14 @@ def ik_3r(arm: RobotModel, pose: Pose2D) -> list:
 
 
 def theta_grid(step_size: float) -> list:
-    """Orientation grid {k * step : k = 0 .. 2*pi/step - 1}; step must divide 2*pi."""
+    """Orientation grid {k * step : k = 0 .. 2*pi/step - 1}; step must be a real dividing 2*pi.
+
+    The step is checked and gridded as ``float(step_size)``: a float32 pi/2 is
+    not pi/2 in float64, so it is refused.
+    """
+    if not isinstance(step_size, numbers.Real):
+        raise ValueError(f"step_size must be a real number, got {step_size!r}")
+    step_size = float(step_size)
     if not 0.0 < step_size < math.inf:
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if TWO_PI / step_size > _MAX_GRID_COUNT:  # also true when 2*pi/step overflows

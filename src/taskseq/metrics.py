@@ -33,10 +33,10 @@ from .model import Configuration, RobotModel
 #: blocks are stacked up to it (see :func:`taskseq.cgraph.build_layered_graph`).
 TILE_ENTRIES = 1 << 15
 
-#: numpy's ufunc buffer, in elements, while the max-based metrics price a
-#: block (see :func:`pairwise_cost`). Measured against numpy's default of
-#: 8192 on tiles of 2^15 entries: broadcast subtractions 2-4x faster for
-#: block rows of 100 to 1000 entries, about the same for shorter rows.
+#: numpy's ufunc buffer, in elements, while :func:`pairwise_cost` prices a
+#: block. Measured against numpy's default of 8192 on tiles of 2^15 entries:
+#: broadcast subtractions 2-4x faster for block rows of 100 to 1000 entries,
+#: about the same for shorter rows.
 _PRICING_BUFFER = 256
 
 
@@ -134,11 +134,9 @@ def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     per group, on the group's largest distances. A max is exact in any order,
     so the result has the bits of pricing every joint and reducing over the
     full cost array, and a graph block never holds an (m_a, m_b, dof) array.
-    Callers check that ``a``, ``b`` and the limits have the same number of
-    joints.
+    Callers check that ``a``, ``b`` and the limits have the same, non-zero
+    number of joints.
     """
-    if a.shape[-1] == 0:
-        raise ValueError("cannot price a move of zero joints")
     out = None
     for joints, limits in groups:
         cost = joint_cost(_max_distance(a, b, joints), *limits)
@@ -177,8 +175,9 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
     """Cost of every move from stack ``a`` to stack ``b`` under the metric ``kind``.
 
     Joints lie on the last axis; the leading axes broadcast against each
-    other, and one move is a stack of one. Raises ``ValueError`` when the
-    stacks and ``params`` disagree on the number of joints.
+    other, and one move is a stack of one. Either stack may be in any memory
+    layout. Raises ``ValueError`` when the stacks and ``params`` disagree on
+    the number of joints, or when that number is zero.
     """
     kind = MetricKind(kind)
     a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -187,11 +186,16 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
             f"joint count mismatch: stacks of {a.shape[-1]} and {b.shape[-1]} joints, "
             f"metric params for {params.weights.size}"
         )
+    if a.shape[-1] == 0:
+        raise ValueError("cannot price a move of zero joints")
     if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        # Sums the full difference array: numpy sums 8 or more terms pairwise,
-        # so a joint-by-joint running sum would change the bits at dof >= 8.
-        diff = a - b
-        return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+        # The one layout condition: the difference array is built C-ordered,
+        # so np.sum adds each move's joints from one contiguous row in its
+        # pairwise order (8 or more terms), as for a single move, whatever
+        # the layout of b. A row-major copy of b is the faster read, and the
+        # terms (w_k * d_k) * d_k overwrite the differences.
+        diff = np.subtract(a, np.ascontiguousarray(b), order="C")
+        return np.sqrt(np.sum(np.multiply(params.weights * diff, diff, out=diff), axis=-1))
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
         return _joint_max(a, b, np.divide, _joint_groups(params.vel_max.tobytes()))
     groups = _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes())
@@ -201,13 +205,13 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
     """sqrt(sum_k w_k (q'_k - q_k)^2); weights multiply the squared difference."""
     unit = np.ones(np.size(weights))
-    return float(_price(MetricKind.WEIGHTED_EUCLIDEAN, MetricParams(weights, unit, unit), q, q_to)[0])
+    return edge_cost(MetricKind.WEIGHTED_EUCLIDEAN, MetricParams(weights, unit, unit), q, q_to)
 
 
 def max_joint_difference(q: Configuration, q_to: Configuration, vel_max) -> float:
     """Bottleneck travel time max_k |q'_k - q_k| / vel_max_k (seconds)."""
     unit = np.ones(np.size(vel_max))
-    return float(_price(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(unit, vel_max, unit), q, q_to)[0])
+    return edge_cost(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(unit, vel_max, unit), q, q_to)
 
 
 def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
@@ -223,7 +227,7 @@ def trapezoid_duration_1d(delta: float, vmax: float, amax: float) -> float:
 def linear_interp_duration(q: Configuration, q_to: Configuration, vel_max, acc_max) -> float:
     """Duration of a synchronized straight joint-space move (slowest joint paces all)."""
     params = MetricParams(np.ones(np.size(vel_max)), vel_max, acc_max)
-    return float(_price(MetricKind.LINEAR_INTERP_DURATION, params, q, q_to)[0])
+    return edge_cost(MetricKind.LINEAR_INTERP_DURATION, params, q, q_to)
 
 
 def default_weights(robot: RobotModel) -> np.ndarray:
@@ -244,42 +248,26 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     (k, m_a, dof) and (k, m_b, dof) give k such blocks, (k, m_a, m_b).
 
     Vectorized companion of :func:`edge_cost`, used to price whole graph
-    layers: both run the same pricing function, so entries match the scalar
-    metric bit for bit. Output holding more than ``TILE_ENTRIES`` entries is
-    priced in bands of rows of ``a``, one tile each, so the temporaries stay
-    small. Raises ``ValueError`` when the stacks and ``params`` disagree on
-    the number of joints.
+    layers: both run :func:`_price`, so entries match the scalar metric bit
+    for bit. Output holding more than ``TILE_ENTRIES`` entries is priced in
+    bands of rows of ``a``, one tile each, so the temporaries stay small.
+    Every metric reads ``b`` from a joint-major copy, one contiguous column
+    per joint, under the ``_PRICING_BUFFER`` ufunc buffer. Raises
+    ``ValueError`` when the stacks and ``params`` disagree on the number of
+    joints, or when that number is zero.
     """
-    kind = MetricKind(kind)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        # Row-major b, and numpy's default ufunc buffer: the sum over the
-        # joints must see the same memory layout as a single move does.
-        return _price_in_bands(kind, params, a, b)
-    # The max-based metrics run only elementwise ufuncs, whose results do not
-    # depend on memory layout or buffering. Each joint of b is read from a
-    # contiguous column. With numpy's default 8192-element buffer, a
-    # broadcast subtraction whose rows are shorter than the buffer runs
-    # through numpy's buffered iteration, 2-4x slower (numpy 2.4).
-    b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)
-    saved = np.setbufsize(_PRICING_BUFFER)
-    try:
-        return _price_in_bands(kind, params, a, b)
-    finally:
-        np.setbufsize(saved)
-
-
-def _price_in_bands(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_price` of every row of ``a`` against every row of ``b``, in bands
-    of rows of ``a`` that hold at most ``TILE_ENTRIES`` entries each."""
+    a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     rows, cols = a.shape[-2], b.shape[-2]
     band = max(1, TILE_ENTRIES // max(1, math.prod(lead) * cols))
-    b = b[..., None, :, :]
-    if rows <= band:
-        return _price(kind, params, a[..., :, None, :], b)
-    out = np.empty((*lead, rows, cols))
-    for top in range(0, rows, band):
-        out[..., top:top + band, :] = _price(kind, params, a[..., top:top + band, None, :], b)
-    return out
+    b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)[..., None, :, :]
+    saved = np.setbufsize(_PRICING_BUFFER)
+    try:
+        if rows <= band:
+            return _price(kind, params, a[..., :, None, :], b)
+        out = np.empty((*lead, rows, cols))
+        for top in range(0, rows, band):
+            out[..., top:top + band, :] = _price(kind, params, a[..., top:top + band, None, :], b)
+        return out
+    finally:
+        np.setbufsize(saved)

@@ -148,6 +148,9 @@ def _in_range(values: np.ndarray, low: float, high: float) -> bool:
 def _check_vector(report: list, vec, name: str, dof: int, positive: bool) -> None:
     if vec is None:
         return
+    if vec.ndim != 1:
+        report.append(f"{name} must be a flat list of numbers")
+        return
     if vec.size != dof:
         report.append(f"{name} length mismatch: expected {dof}, got {vec.size}")
         return
@@ -201,14 +204,14 @@ def validate_task(task: Task) -> ValidationReport:
                       and _in_range(sols, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT)):
                 # Not an in-range (m, dof) array: name every configuration at fault.
                 faults = len(report)
-                for k, q in enumerate(sols):
-                    _check_vector(report, q, f"{name} ik_solutions[{k}]", robot.dof, positive=False)
+                for k, q in enumerate(sols):  # size and range per row; nesting once, below
+                    _check_vector(report, q.ravel(), f"{name} ik_solutions[{k}]", robot.dof, positive=False)
                 if len(report) == faults:  # rows of dof entries, but not all flat
                     report.append(f"{name} ik_solutions rows must be flat lists of numbers")
         if target.position is None:
             report.append(f"{name} has neither a position nor ik_solutions" if sols is None
                           else f"{name} has ik_solutions but no position, which the tour needs")
-        elif target.position.size != 2:
+        elif target.position.shape != (2,):
             report.append(f"{name} position must be a 2-D point")
         elif not _in_range(target.position, -MAGNITUDE_LIMIT, MAGNITUDE_LIMIT):
             _check_vector(report, target.position, f"{name} position", 2, positive=False)

@@ -70,10 +70,8 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "tsp_solver", SolverKind(self.tsp_solver))
         object.__setattr__(self, "metric", MetricKind(self.metric))
-        if not isinstance(self.step_size, numbers.Real):
-            raise ValueError(f"step_size must be a real number, got {self.step_size!r}")
+        theta_grid(self.step_size)  # refuses a step that is not a real number dividing 2*pi
         object.__setattr__(self, "step_size", float(self.step_size))
-        theta_grid(self.step_size)  # rejects step sizes that do not divide 2*pi
         restarts = self.rnn_restarts
         if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
             raise ValueError(f"rnn_restarts must be an integer of at least 1, got {restarts!r}")

@@ -109,6 +109,18 @@ def test_theta_grid_accepts_exact_divisors_only():
         theta_grid(-math.pi)
 
 
+@pytest.mark.parametrize("grid", [
+    theta_grid,
+    lambda step: ik_targets(ARM, [1.5, 0.5], step),
+    lambda step: ik_pool(ARM, [[1.5, 0.5]], step),
+], ids=["theta_grid", "ik_targets", "ik_pool"])
+@pytest.mark.parametrize("step", [np.float32(math.pi / 2), "pi/4", None], ids=["float32", "text", "none"])
+def test_a_step_that_is_not_a_real_dividing_2pi_is_refused(grid, step):
+    # float() of a float32 pi/2 does not divide 2*pi, so it is refused, not gridded in float32.
+    with pytest.raises(ValueError, match="step_size"):
+        grid(step)
+
+
 def test_theta_grid_refuses_a_huge_grid_before_building_it():
     # pi/1e8 divides 2*pi with a count of 2e8; the refusal must come first.
     tracemalloc.start()

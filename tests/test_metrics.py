@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -158,6 +159,8 @@ def test_pairwise_kernel_matches_scalar_metric(kind, dof):
     for i in range(4):
         for j in range(5):
             assert table[i, j] == edge_cost(kind, params, a[i], b[j])
+    # The layout of the stacks does not reach the bits: a joint-major b prices the same.
+    assert np.array_equal(pairwise_cost(kind, params, a, np.asfortranarray(b)), table)
 
 
 def _full_difference_cost(kind, params, a, b):
@@ -196,7 +199,7 @@ def _priced_stacks(draw, dof):
     return params, stack(), stack()
 
 
-@pytest.mark.parametrize("dof", [1, 3, 6, 8, 24])
+@pytest.mark.parametrize("dof", [1, 3, 6, 8, 24, 130])  # 130: past numpy's 128-term pairwise block
 @pytest.mark.parametrize("kind", list(MetricKind))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -348,11 +351,24 @@ def test_pairwise_cost_rejects_a_joint_count_mismatch(kind, a_dof, b_dof, params
     assert np.getbufsize() == buffer  # restored after a failed pricing call too
 
 
-@pytest.mark.parametrize("kind", [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION])
-def test_pairwise_cost_of_zero_joints_raises(kind):
-    params = MetricParams(weights=[], vel_max=[], acc_max=[])
-    with pytest.raises(ValueError):
-        pairwise_cost(kind, params, np.empty((2, 0)), np.empty((3, 0)))
+_NO_JOINTS = MetricParams(weights=[], vel_max=[], acc_max=[])
+_ZERO_JOINT_PRICINGS = [
+    *(pytest.param(functools.partial(pairwise_cost, kind, _NO_JOINTS, np.empty((2, 0)), np.empty((3, 0))),
+                   id=kind.value) for kind in MetricKind),
+    *(pytest.param(functools.partial(edge_cost, kind, _NO_JOINTS, [], []), id=f"edge_cost-{kind.value}")
+      for kind in MetricKind),
+    pytest.param(functools.partial(weighted_euclidean, [], [], []), id="scalar-weighted_euclidean"),
+    pytest.param(functools.partial(max_joint_difference, [], [], []), id="scalar-max_joint_difference"),
+    pytest.param(functools.partial(linear_interp_duration, [], [], [], []),
+                 id="scalar-linear_interp_duration"),
+]
+
+
+@pytest.mark.parametrize("price", _ZERO_JOINT_PRICINGS)
+def test_pairwise_cost_of_zero_joints_raises(price):
+    # Every metric entry point refuses a move of no joints, the sum as well as the maxima.
+    with pytest.raises(ValueError, match="cannot price a move of zero joints"):
+        price()
 
 
 _NON_POSITIVE_LIMITS = [

@@ -175,6 +175,20 @@ def test_rows_that_are_not_flat_lists_are_reported(rows, dof):
     assert validate_task(task) == ["target 0 ik_solutions rows must be flat lists of numbers"]
 
 
+@pytest.mark.parametrize("field", ["vel_max", "acc_max", "weights", "planar_links", "home", "position"])
+def test_a_nested_vector_field_is_reported(field):
+    # [[x], [y], ...] holds the right number of entries, but is not a flat list of numbers.
+    fields = {"vel_max": [1.0, 2.0, 3.0], "acc_max": [1.0, 2.0, 3.0], "weights": [3.0, 2.0, 1.0],
+              "planar_links": [1.0, 0.8, 0.5], "home": [0.0, 0.1, 0.2], "position": [1.1, 0.2]}
+    fields[field] = [[x] for x in fields[field]]
+    robot = RobotModel(dof=3, **{k: fields[k] for k in ("vel_max", "acc_max", "weights", "planar_links")})
+    target = TaskTarget(id=0, position=fields["position"], ik_solutions=[[0.1, 0.2, 0.3]])
+    task = Task(robot=robot, home=fields["home"], targets=[target])
+    expected = ("target 0 position must be a 2-D point" if field == "position"
+                else f"{field} must be a flat list of numbers")
+    assert validate_task(task) == [expected]
+
+
 def test_configuration_sets_are_read_only_arrays():
     rows = np.array([[0.1, 0.2], [0.3, 0.4]])
     target = TaskTarget(id=0, ik_solutions=rows)

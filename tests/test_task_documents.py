@@ -48,7 +48,8 @@ _LINKS = st.one_of(
 
 @st.composite
 def task_documents(draw):
-    """Task documents over sizes, field mixes, ik-only targets and extreme numbers."""
+    """Task documents over sizes, field mixes, ik-only targets, extreme numbers
+    and, now and then, one vector field written as a nested list."""
     planar = draw(st.booleans())
     dof = 3 if planar else draw(st.integers(1, 4))
     robot = {"dof": dof}
@@ -71,7 +72,13 @@ def task_documents(draw):
             ]
         targets.append(entry)
     home = [draw(_JOINTS) for _ in range(dof)]
-    return {"robot": robot, "home": home, "targets": targets}
+    doc = {"robot": robot, "home": home, "targets": targets}
+    if draw(st.integers(0, 7)) == 0:  # now and then one vector field nests its numbers
+        fields = [(robot, key) for key in robot if key != "dof"] + [(doc, "home")]
+        fields += [(entry, "position") for entry in targets if "position" in entry]
+        owner, key = draw(st.sampled_from(fields))
+        owner[key] = [[x] for x in owner[key]]
+    return doc
 
 
 def _unreachable_on_grid(task, step):
