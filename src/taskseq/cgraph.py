@@ -142,23 +142,23 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     """Optimal configuration choice per target for the graph's fixed order.
 
-    The graph is layered and acyclic, so a single backward sweep computes the
-    cost-to-Goal of every vertex; a forward walk then picks, layer by layer,
-    the lowest-indexed vertex on a minimal path, which makes the reported
-    selection the lexicographically smallest among all optima. The returned
-    costs are re-accumulated from the Start side so they are arithmetically
+    The graph is layered and acyclic, so one backward sweep computes every
+    vertex's cost-to-Goal and records its lowest-index successor on a minimal
+    path; a forward walk from the lowest-index best first vertex follows them,
+    so the selection is the lexicographically smallest of all optima. The
+    returned costs are re-accumulated from the Start side, arithmetically
     identical to :func:`path_cost` on the same choice.
     """
-    n = len(graph.layer_sizes)
-    suffix = [None] * n
-    suffix[n - 1] = graph.goal_costs
-    for i in range(n - 2, -1, -1):
-        suffix[i] = np.min(graph.step_costs[i] + suffix[i + 1][None, :], axis=1)
+    successors, suffix = [], graph.goal_costs
+    for block in reversed(graph.step_costs):
+        scores = block + suffix
+        successors.append(scores.argmin(axis=1))
+        suffix = scores[np.arange(len(scores)), successors[-1]]
+        del scores  # only one (m_i, m_{i+1}) temporary is live at a time
 
-    chosen = [int(np.argmin(graph.start_costs + suffix[0]))]
-    for i in range(n - 1):
-        scores = graph.step_costs[i][chosen[-1]] + suffix[i + 1]
-        chosen.append(int(np.argmin(scores)))
+    chosen = [int(np.argmin(graph.start_costs + suffix))]
+    for successor in reversed(successors):
+        chosen.append(int(successor[chosen[-1]]))
 
     total, edges = path_cost(graph, chosen)
     return SelectionResult(chosen=tuple(chosen), total_cost=total, per_edge_costs=edges)

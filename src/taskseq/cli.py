@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--step-size", default="pi/4", dest="step_size",
                          help="orientation grid step, e.g. 'pi/4' (must divide 2*pi)")
         sub.add_argument("--restarts", type=_positive_int, default=1,
-                         help="nearest-neighbor restarts (rnn solver)")
+                         help="nearest-neighbor restarts (rnn solver); its time grows with them")
         depot = sub.add_mutually_exclusive_group()
         depot.add_argument("--depot", dest="depot", action="store_true", default=True,
                            help="anchor the tour at the home position (default)")

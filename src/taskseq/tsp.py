@@ -105,9 +105,9 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
         else:
             depot = points.mean(axis=0)
         points = np.vstack([points, depot])
-    dx = points[:, None, 0] - points[None, :, 0]
-    dy = points[:, None, 1] - points[None, :, 1]
-    dm = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm's sum of squares, no (n, n, 2) temporary
+    dm, dy = (np.subtract.outer(axis, axis) for axis in points.T)
+    np.add(np.multiply(dm, dm, out=dm), np.multiply(dy, dy, out=dy), out=dm)
+    np.sqrt(dm, out=dm)  # np.linalg.norm's sum of squares, in two (n, n) arrays
     if not np.all(np.isfinite(dm)):
         raise ValueError("target distances overflow: positions are too far apart")
     return dm
@@ -218,31 +218,31 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
 def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
-    All restarts advance in lock step, each appending its nearest unvisited node
-    (ties toward the lowest index, and the lowest-index unvisited node when all are
-    at inf); the cheapest cycle wins, earlier starts winning ties.
+    Each walk appends its nearest unvisited node, the lowest index on ties (all at
+    inf included). The walks share one numpy pick per step, and each sums its own
+    cost in visiting order. The cheapest cycle wins, earlier starts winning ties.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
-    rows = np.arange(restarts)
-    order = np.empty((restarts, n), dtype=np.intp)
-    order[:, 0] = rows
-    visited = np.eye(restarts, n, dtype=bool)
-    costs = np.zeros(restarts)
-    for step in range(1, n):
-        current = order[:, step - 1]
-        nxt = np.argmin(np.where(visited, np.inf, dm[current]), axis=1)
-        stuck = visited[rows, nxt]  # every unvisited node is at inf: take the lowest-index one
-        nxt[stuck] = np.argmin(visited[stuck], axis=1)
-        costs += dm[current, nxt]
-        order[:, step] = nxt
-        visited[rows, nxt] = True
-    costs += dm[order[:, -1], rows]
-    costs[~(costs < np.inf)] = np.inf  # NaN and infinite cycles never win ...
-    best = int(np.argmin(costs))
-    return TourOrder(order[best] if costs[best] < np.inf else range(n))  # ... else identity
+    dist = memoryview(np.ascontiguousarray(dm))
+    current, visited = np.arange(restarts), np.eye(restarts, n, dtype=bool)
+    seen = memoryview(visited)
+    orders, costs = [[start] for start in range(restarts)], [0.0] * restarts
+    for _ in range(1, n):
+        rows = dm.take(current, axis=0)
+        np.copyto(rows, np.inf, where=visited)
+        current = rows.argmin(axis=1)
+        for k, nxt in enumerate(current.tolist()):
+            if seen[k, nxt]:  # every unvisited node is at inf: take the lowest-index one
+                nxt = current[k] = int(visited[k].argmin())
+            costs[k] += dist[orders[k][-1], nxt]
+            orders[k].append(nxt)
+            seen[k, nxt] = True
+    costs = [cost + dist[order[-1], order[0]] for order, cost in zip(orders, costs)]
+    finite = [k for k, cost in enumerate(costs) if cost < np.inf]  # NaN and inf cycles never win
+    return TourOrder(orders[min(finite, key=costs.__getitem__)] if finite else range(n))
 
 
 def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -286,3 +287,38 @@ def test_equal_size_layers_are_priced_in_few_calls():
         graph = build_layered_graph(np.zeros(3), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(3))
     assert graph.price_calls == len(calls) == 6
     assert [len(np.atleast_2d(a)) for _, _, a, _ in calls] == [1, 128, 128, 128, 15, 16]
+
+
+@st.composite
+def _tied_graphs(draw):
+    """A LayeredGraph whose every cost is 0, 0.5, 1 or 2: their sums are exact, so ties are real."""
+    costs = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
+
+    def block(shape):
+        flat = draw(st.lists(costs, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(flat).reshape(shape)
+
+    return cgraph.LayeredGraph(
+        start_costs=block((sizes[0],)),
+        step_costs=tuple(block((a, b)) for a, b in zip(sizes, sizes[1:])),
+        goal_costs=block((sizes[-1],)),
+        price_calls=0,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=_tied_graphs())
+def test_search_breaks_many_way_ties_like_the_enumeration(graph):
+    best_total, best = math.inf, None
+    for chosen in itertools.product(*(range(m) for m in graph.layer_sizes)):
+        edges = [graph.start_costs[chosen[0]]]
+        edges += [block[i, j] for block, i, j in zip(graph.step_costs, chosen, chosen[1:])]
+        edges.append(graph.goal_costs[chosen[-1]])
+        total = sum(edges)
+        if total < best_total:  # the first strict minimum, in lexicographic order
+            best_total, best = total, (chosen, tuple(float(e) for e in edges))
+    selection = shortest_selection(graph)
+    assert selection.chosen == best[0]
+    assert selection.total_cost == best_total
+    assert selection.per_edge_costs == best[1]

@@ -430,6 +430,20 @@ def test_rnn_matches_the_per_start_loop_on_non_finite_matrices(data):
     assert order == _rnn_by_start(dm, restarts)
 
 
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_rnn_matches_the_per_start_loop_on_a_400_target_task(restarts):
+    dm = build_task_distance_matrix(generate_random_task(400, 1, seed=1, mode="planar"))
+    assert solve_rnn(dm, restarts).order == _rnn_by_start(dm, restarts)
+
+
+@pytest.mark.parametrize("restarts", range(1, 9))
+def test_rnn_matches_the_per_start_loop_on_60_grid_points(restarts):
+    # 60 points on a 6 x 6 grid: repeated points and equal distances tie at every step.
+    points = np.random.default_rng(restarts).integers(0, 6, (60, 2))
+    dm = _euclidean_matrix(points)
+    assert solve_rnn(dm, restarts).order == _rnn_by_start(dm, restarts)
+
+
 @pytest.mark.parametrize("restarts", [1, 2, 3])
 def test_rnn_restart_with_every_unvisited_node_at_inf_still_visits_all(restarts):
     # Off the diagonal every edge is inf: a restart must not revisit its start at zero cost.
