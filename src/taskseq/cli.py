@@ -275,7 +275,6 @@ def cmd_benchmark(args) -> int:
         sizes=sizes,
         repeats=args.repeats,
         seed=args.seed,
-        m_max=args.m_max,
     )
     _write_atomic(args.csv, rows_to_csv(rows))
     print(args.csv)
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", required=True, help="comma-separated instance sizes")
     bench.add_argument("--repeats", type=_positive_int, default=1)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--m-max", type=_positive_int, default=8, dest="m_max")
     bench.add_argument("--csv", required=True, help="output CSV path")
     bench.set_defaults(func=cmd_benchmark)
 

@@ -88,54 +88,28 @@ def _joint_groups(*limits: bytes) -> tuple:
     order of their first joint, from the float64 bytes of each limit array.
 
     :func:`_price` passes ``vel_max`` alone for ``max_joint_difference``, and
-    ``vel_max, acc_max`` for ``linear_interp_duration``; in the second case a
-    shared pair for which the trapezoid is not monotone is split into one
-    group per joint, so its joints are priced one at a time. The grouping is
+    ``vel_max, acc_max`` for ``linear_interp_duration``. The grouping is
     cached by the limit values, so the scalar metrics, which build fresh
     params on every call, do not regroup the same limits.
     """
     members: dict = {}
     for k, key in enumerate(zip(*(np.frombuffer(lim).tolist() for lim in limits))):
         members.setdefault(key, []).append(k)
-    groups = []
-    for key, joints in members.items():
-        if len(joints) > 1 and len(limits) == 2 and not _trapezoid_is_monotone(*key):
-            groups.extend(((k,), key) for k in joints)
-        else:
-            groups.append((tuple(joints), key))
-    return tuple(groups)
-
-
-def _trapezoid_is_monotone(vmax: float, amax: float) -> bool:
-    """True when ``_trapezoid_kernel(d, vmax, amax)`` never decreases as d grows.
-
-    Each branch is a chain of correctly rounded operations on d, so it is
-    monotone; the one place the formula can drop is where the short-move
-    branch hands over to the long-move one, at c = vmax * vmax / amax. So
-    f(prevfloat(c)) <= f(c) is the exact condition, read off the kernel. It
-    fails for some limits, e.g. vmax=0.05407598572326695,
-    amax=3.8795177930322358. A limit at inf makes the kernel divide inf by
-    inf, and a NaN at c compares false, so such a pair is split. When c == 0
-    both distances are 0 and take the long-move branch.
-    """
-    c = vmax * vmax / amax
-    with np.errstate(over="ignore", invalid="ignore"):
-        below, at = _trapezoid_kernel(np.array([math.nextafter(c, 0.0), c]), vmax, amax)
-    return bool(below <= at)
+    return tuple((tuple(joints), key) for key, joints in members.items())
 
 
 def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, *limits of k)``.
 
     ``groups`` comes from :func:`_joint_groups` of the params' limits: each
-    group is a set of joints that share their limits, and ``joint_cost`` is
-    monotone non-decreasing in the distance for those limits. For such a
-    cost, max_k f(d_k) is exactly f(max_k d_k), so the cost formula runs once
-    per group, on the group's largest distances. A max is exact in any order,
-    so the result has the bits of pricing every joint and reducing over the
-    full cost array, and a graph block never holds an (m_a, m_b, dof) array.
-    Callers check that ``a``, ``b`` and the limits have the same, non-zero
-    number of joints.
+    group is a set of joints that share their limits. The one condition is
+    that ``joint_cost`` never decreases as the distance grows, for any
+    positive limits. Then max_k f(d_k) is exactly f(max_k d_k), so the cost
+    formula runs once per group, on the group's largest distances. A max is
+    exact in any order, so the result has the bits of pricing every joint and
+    reducing over the full cost array, and a graph block never holds an
+    (m_a, m_b, dof) array. Callers check that ``a``, ``b`` and the limits
+    have the same, non-zero number of joints.
     """
     out = None
     for joints, limits in groups:
@@ -160,14 +134,18 @@ def _max_distance(a: np.ndarray, b: np.ndarray, joints: tuple) -> np.ndarray:
 
 def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     """Trapezoid duration of moves of ``dist``: dist/vmax + vmax/amax at or
-    beyond c = vmax^2/amax, 2*sqrt(dist/amax) below it."""
-    # One branch is enough: the long-move formula is computed on every entry
-    # and only the entries below c are overwritten, so each entry gets exactly
-    # the operations that np.where(dist >= c, long, short) would pick, without
-    # a square root for the long moves. A NaN distance is NaN either way.
+    beyond c = vmax^2/amax, below c the smaller of that and 2*sqrt(dist/amax).
+
+    It never decreases as ``dist`` grows, for any positive limits: each branch
+    is a chain of correctly rounded monotone operations, and for d < c <= d'
+    f(d) <= long(d) <= long(d') = f(d'). In exact arithmetic the triangle time
+    is the smaller below c, so the min only absorbs its rounding.
+    """
+    # Long moves take no square root: only the entries below c are revisited,
+    # by C-order index, which np.take and np.put follow in any layout.
     out = dist / vmax + vmax / amax
-    short = dist < vmax * vmax / amax
-    out[short] = 2.0 * np.sqrt(dist[short] / amax)
+    short = np.flatnonzero(dist < vmax * vmax / amax)
+    np.put(out, short, np.minimum(out.take(short), 2.0 * np.sqrt(dist.take(short) / amax)))
     return out
 
 

@@ -191,8 +191,8 @@ def validate_task(task: Task) -> ValidationReport:
         return report
 
     ids = [t.id for t in task.targets]
-    if sorted(ids) != list(range(task.n)):
-        report.append(f"target ids must be 0..{task.n - 1} and unique, got {ids}")
+    if ids != list(range(task.n)):
+        report.append(f"target ids must be 0..{task.n - 1} in list order, got {ids}")
 
     for target in task.targets:
         name = f"target {target.id}"

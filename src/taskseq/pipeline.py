@@ -186,9 +186,7 @@ def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tup
 
 
 def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: bool) -> float:
-    """Task-space cycle cost of a visiting order (nan if positions are missing)."""
-    if any(t.position is None for t in task.targets):
-        return float("nan")
+    """Task-space cycle cost of a visiting order."""
     dm = tsp.build_task_distance_matrix(task, include_home_depot)
     nodes = tuple(order.order) + ((task.n,) if include_home_depot else ())
     return tsp.tour_cost(dm, TourOrder(nodes, TourKind.CLOSED_CYCLE))
@@ -357,7 +355,6 @@ def benchmark_run(
     sizes,
     repeats: int = 1,
     seed: int = 0,
-    m_max: int = 8,
     config: PipelineConfig | None = None,
 ) -> list[dict]:
     """One row per (size, variant, repeat) along the requested axis.
@@ -374,7 +371,7 @@ def benchmark_run(
     for n in sizes:
         for repeat in range(repeats):
             cell_seed = instance_seed(seed, n, repeat)
-            task = generate_random_task(n, m_max, cell_seed, mode="planar")
+            task = generate_random_task(n, 1, cell_seed, mode="planar")
             for label, variant_config, runner in _benchmark_variants(axis, config):
                 row = {
                     "axis": axis, "variant": label, "n": n,

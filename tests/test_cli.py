@@ -202,6 +202,16 @@ def test_oracle_step2_and_tsp_match(tmp_path, capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
+def test_no_depot_reaches_solve_and_oracle(tmp_path, capsys):
+    task, out = tmp_path / "t.json", tmp_path / "r.json"
+    assert main(["generate", "--n", "6", "--m-max", "3", "--seed", "11", "--out", str(task)]) == 0
+    assert main(["solve", "--task", str(task), "--no-depot", "--out", str(out)]) == 0
+    assert _read_json(out)["config"]["include_home_depot"] is False
+    capsys.readouterr()
+    assert main(["oracle", "--task", str(task), "--what", "tsp", "--no-depot"]) == 0
+    assert capsys.readouterr().out.startswith("MATCH tsp: ")
+
+
 def test_oracle_gtsp_matches_on_tiny_instance(tmp_path, capsys):
     task = tmp_path / "t.json"
     assert main(["generate", "--n", "4", "--m-max", "2", "--seed", "2",
@@ -269,6 +279,20 @@ def test_configurations_without_positions_are_refused(tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_targets_listed_out_of_id_order_are_refused(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    assert main(["generate", "--n", "4", "--m-max", "3", "--seed", "1", "--out", str(task)]) == 0
+    doc = _read_json(task)
+    doc["targets"].reverse()
+    task.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    message = "error: invalid task:\n  target ids must be 0..3 in list order, got [3, 2, 1, 0]\n"
+    assert main(["solve", "--task", str(task), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["oracle", "--task", str(task), "--what", "step2"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_benchmark_row_count_and_header(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["benchmark", "--axis", "metric", "--sizes", "5,7", "--repeats", "2",
@@ -277,6 +301,14 @@ def test_benchmark_row_count_and_header(tmp_path):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 2 * 2  # 3 metrics x 2 sizes x 2 repeats
     assert "\r" not in out.read_text(encoding="utf-8")
+
+
+def test_benchmark_has_no_m_max_flag(tmp_path):
+    # Its instances are planar, and planar generation fixes the configuration count.
+    with pytest.raises(SystemExit) as refused:
+        main(["benchmark", "--axis", "metric", "--sizes", "5", "--m-max", "3",
+              "--csv", str(tmp_path / "b.csv")])
+    assert refused.value.code == 2
 
 
 def test_benchmark_is_deterministic_modulo_timings(tmp_path):

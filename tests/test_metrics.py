@@ -11,7 +11,6 @@ from taskseq.metrics import (
     MetricKind,
     MetricParams,
     _joint_groups,
-    _trapezoid_is_monotone,
     _trapezoid_kernel,
     default_weights,
     edge_cost,
@@ -170,9 +169,14 @@ def _full_difference_cost(kind, params, a, b):
         return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
         return np.max(np.abs(diff) / params.vel_max, axis=-1)
-    dist, vmax, amax = np.abs(diff), params.vel_max, params.acc_max
-    durations = np.where(dist >= vmax * vmax / amax, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
-    return np.max(durations, axis=-1)
+    return np.max(_two_branch(np.abs(diff), params.vel_max, params.acc_max), axis=-1)
+
+
+def _two_branch(dist, vmax, amax):
+    """The trapezoid duration by branch: the long-move time at or beyond c, the
+    smaller of the long- and short-move times below it."""
+    long = dist / vmax + vmax / amax
+    return np.where(dist >= vmax * vmax / amax, long, np.minimum(long, 2.0 * np.sqrt(dist / amax)))
 
 
 _ENTRIES = st.one_of(
@@ -211,8 +215,8 @@ def test_pairwise_cost_matches_the_full_difference_array(kind, dof, data):
     assert np.array_equal(table, expected, equal_nan=True)
 
 
-# The trapezoid formula drops across its branch point c = vmax^2/amax for
-# these limits: f(prevfloat(c)) > f(c), so their joints must not be grouped.
+# Taking the short-move time alone below c, the trapezoid drops across its
+# branch point c = vmax^2/amax for these limits: f(prevfloat(c)) > f(c).
 _NON_MONOTONE = (0.05407598572326695, 3.8795177930322358)
 _LIMIT_POOL = [_NON_MONOTONE, (1.0, 1.0), (0.5, 2.0), (2.0, 0.5)]
 _MAX_KINDS = [MetricKind.MAX_JOINT_DIFFERENCE, MetricKind.LINEAR_INTERP_DURATION]
@@ -262,73 +266,72 @@ def test_grouped_pricing_matches_the_per_joint_formula(kind, drawn):
     assert np.array_equal(pairwise_cost(kind, params, a, b), expected)
 
 
-def test_joints_with_equal_limits_are_grouped_unless_the_trapezoid_drops():
+def test_joints_with_equal_limits_are_always_grouped():
     v, a = _NON_MONOTONE
     params = MetricParams(np.ones(4), [1.0, v, 1.0, v], [1.0, a, 1.0, a])
     speed, trapezoid = params.vel_max.tobytes(), params.acc_max.tobytes()
     assert _joint_groups(speed) == (((0, 2), (1.0,)), ((1, 3), (v,)))
-    assert _joint_groups(speed, trapezoid) == (((0, 2), (1.0, 1.0)), ((1,), (v, a)), ((3,), (v, a)))
-    # The drop itself: one joint just below c costs more than another at c.
+    assert _joint_groups(speed, trapezoid) == (((0, 2), (1.0, 1.0)), ((1, 3), (v, a)))
+    # No drop: the joint just below c costs no more than the joint at c.
     c = v * v / a
     move = np.array([[0.0, math.nextafter(c, 0.0), 0.0, c]])
     priced = pairwise_cost(MetricKind.LINEAR_INTERP_DURATION, params, move, np.zeros((1, 4)))
-    assert priced[0, 0] == trapezoid_duration_1d(math.nextafter(c, 0.0), v, a)
-    assert priced[0, 0] > trapezoid_duration_1d(c, v, a)
+    assert trapezoid_duration_1d(math.nextafter(c, 0.0), v, a) <= trapezoid_duration_1d(c, v, a)
+    assert priced[0, 0] == trapezoid_duration_1d(c, v, a)
 
 
-def test_monotonicity_check_agrees_with_the_kernel_on_random_limits():
-    # About 0.2% of random pairs drop across c; the check must flag exactly those.
+def test_the_kernel_never_drops_across_c_on_random_limits():
+    # About 0.2% of random pairs drop across c when the short-move time is
+    # taken alone below it; the kernel's min must drop on none of them.
     rng = np.random.default_rng(2)
     vmax, amax = rng.uniform(0.01, 5.0, 20000), rng.uniform(0.01, 5.0, 20000)
     c = vmax * vmax / amax
 
-    def two_branch(dist):
+    def short_alone(dist):
         return np.where(dist >= c, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
 
-    drops = two_branch(np.nextafter(c, 0.0)) > two_branch(c)
-    assert 10 < np.count_nonzero(drops) < 200
-    flagged = [not _trapezoid_is_monotone(v, a) for v, a in zip(vmax.tolist(), amax.tolist())]
-    assert flagged == drops.tolist()
+    assert 10 < np.count_nonzero(short_alone(np.nextafter(c, 0.0)) > short_alone(c)) < 200
+    below, at = np.nextafter(c, 0.0).tolist(), c.tolist()
+    costs = [_trapezoid_kernel(np.array([d, e]), v, a).tolist() for d, e, v, a in
+             zip(below, at, vmax.tolist(), amax.tolist())]
+    assert not any(f_below > f_at for f_below, f_at in costs)
 
 
 @pytest.mark.parametrize(
-    "vmax,amax,monotone",
-    [(1.0, 1.0, True), (2.816, 1.324, True), (*_NON_MONOTONE, False), (0.828, 2.082, False)],
+    "vmax,amax",
+    [(1.0, 1.0), (2.816, 1.324), _NON_MONOTONE, (0.828, 2.082)],
     ids=["monotone", "monotone-branches-differ-at-c", "non-monotone", "non-monotone-2"],
 )
-def test_single_branch_kernel_matches_the_two_branch_formula_around_c(vmax, amax, monotone):
-    # The kernel computes the long-move branch everywhere and overwrites the
-    # moves strictly below c with the short-move branch; np.where picks the
-    # same branch for every entry. In three of these cases the branches
-    # differ at c itself, so a kernel that took the short branch at c fails.
+def test_single_branch_kernel_matches_the_two_branch_formula_around_c(vmax, amax):
+    # The kernel computes the long-move branch everywhere and revisits only
+    # the moves strictly below c; np.where picks the same branch for every
+    # entry. In three of these cases the branches differ at c itself, so a
+    # kernel that took the short branch at c fails. In the two non-monotone
+    # cases the short-move time alone drops across c; the reference does not.
     c = vmax * vmax / amax
-    assert _trapezoid_is_monotone(vmax, amax) is monotone
     dist = np.array([0.0, math.nextafter(c, 0.0), c, math.nextafter(c, math.inf), 2.0 * c])
-    two_branch = np.where(dist >= c, dist / vmax + vmax / amax, 2.0 * np.sqrt(dist / amax))
+    two_branch = _two_branch(dist, vmax, amax)
+    assert np.all(np.diff(two_branch) >= 0.0)
     assert _trapezoid_kernel(dist, vmax, amax).tobytes() == two_branch.tobytes()
     for d, expected in zip(dist, two_branch):  # the single-move path
         assert trapezoid_duration_1d(d, vmax, amax) == expected
 
 
-_ONE_GROUP = ((0, 1, 2),)
-
-
 @pytest.mark.parametrize(
-    "vmax,amax,groups",
-    [(1e-200, 1.0, _ONE_GROUP), (1e-170, 1e-30, _ONE_GROUP), (1e200, 1.0, _ONE_GROUP),
-     (1e200, 0.5, _ONE_GROUP), (1e160, 1e-30, _ONE_GROUP),
-     (math.inf, 1.0, ((0,), (1,), (2,))), (1.0, math.inf, _ONE_GROUP)],
+    "vmax,amax",
+    [(1e-200, 1.0), (1e-170, 1e-30), (1e200, 1.0), (1e200, 0.5), (1e160, 1e-30), (math.inf, 1.0),
+     (1.0, math.inf)],
     ids=["c-underflows", "c-underflows-small-amax", "c-overflows", "c-overflows-prev-overflows",
-         "c-overflows-small-amax", "vmax-inf-splits", "amax-inf"],
+         "c-overflows-small-amax", "vmax-inf", "amax-inf"],
 )
-def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax, groups):
+def test_trapezoid_groups_at_c_zero_and_c_inf_raise_no_warning(vmax, amax):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         c = vmax * vmax / amax
         assert c in (0.0, math.inf)
         params = MetricParams(np.ones(3), [vmax] * 3, [amax] * 3)
-        expected = tuple((joints, (vmax, amax)) for joints in groups)
-        assert _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes()) == expected
+        groups = _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes())
+        assert groups == (((0, 1, 2), (vmax, amax)),)
         a = np.array([[0.5, -1.0, 0.25], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         b = np.zeros((2, 3))
         kind = MetricKind.LINEAR_INTERP_DURATION

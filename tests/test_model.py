@@ -97,6 +97,17 @@ def test_duplicate_target_ids_are_reported():
     assert any("ids" in v for v in report)
 
 
+def test_target_ids_out_of_list_order_are_reported():
+    # The pipeline reports list positions as ids, so ids must count 0..n-1 in list order.
+    robot = RobotModel(dof=1, vel_max=[1.0], acc_max=[1.0])
+    targets = [
+        TaskTarget(id=1, ik_solutions=(np.array([0.0]),), position=[0.0, 0.0]),
+        TaskTarget(id=0, ik_solutions=(np.array([1.0]),), position=[1.0, 0.0]),
+    ]
+    report = validate_task(Task(robot=robot, home=[0.0], targets=targets))
+    assert report == ["target ids must be 0..1 in list order, got [1, 0]"]
+
+
 def test_empty_ik_list_is_reported():
     robot = RobotModel(dof=1, vel_max=[1.0], acc_max=[1.0])
     task = Task(robot=robot, home=[0.0], targets=[TaskTarget(id=0, ik_solutions=())])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
+from taskseq.kinematics import IkSolutionSet
 from taskseq.metrics import MetricKind, MetricParams
 from taskseq.model import GuardError, RobotModel, Task, TaskTarget, generate_random_task
 from taskseq.pipeline import (
@@ -27,8 +29,11 @@ from taskseq.pipeline import (
 from taskseq.tsp import (
     TOUR_COUNTERS,
     SolverKind,
+    TourKind,
+    TourOrder,
     brute_force_cycle,
     build_task_distance_matrix,
+    open_order_from_cycle,
     solve_2opt,
     tour_cost,
 )
@@ -206,6 +211,45 @@ def test_runners_report_the_same_timings_and_counts():
          "poses_dropped", "two_opt_moves", "or_opt_moves", "check_rounds")
     }
     assert results[2].timings["step1_ms"] == 0.0
+
+
+@pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])
+def test_every_method_refuses_targets_without_a_position(runner):
+    # A Task built in Python skips validate_task; each method needs the
+    # task-space distances, for its tour or for its step1_cost.
+    robot = RobotModel(dof=1, vel_max=[1.0], acc_max=[1.0])
+    targets = tuple(TaskTarget(id=i, ik_solutions=(np.array([float(i)]),)) for i in range(3))
+    with pytest.raises(ValueError, match="target 0 has no position; cannot build distances"):
+        runner(Task(robot=robot, home=[0.0], targets=targets), COARSE)
+
+
+_UNIT = MetricParams([1.0], [1.0], [1.0])
+
+
+def _two_layer_graph():
+    sets = [IkSolutionSet(0, [[0.0], [1.0]]), IkSolutionSet(1, [[2.0]])]
+    return build_layered_graph([0.0], sets, MetricKind.MAX_JOINT_DIFFERENCE, _UNIT)
+
+
+def _non_planar_choice():
+    sets = [IkSolutionSet(0, np.zeros((2, 6))), IkSolutionSet(1, np.zeros((1, 6)))]
+    return manipulability_choice(generate_random_task(2, 1, seed=0), sets)
+
+
+@pytest.mark.parametrize("call,message", [
+    (functools.partial(solve_2opt, np.ones((3, 3)), initial=TourOrder((0, 1, 1))),
+     "permutation of all nodes"),
+    (functools.partial(open_order_from_cycle, TourOrder((0, 1, 2), TourKind.OPEN_PATH), depot=2),
+     "needs a closed cycle"),
+    (lambda: path_cost(_two_layer_graph(), (0,)), "expected 2 choices, got 1"),
+    (functools.partial(build_layered_graph, [0.0], [], MetricKind.MAX_JOINT_DIFFERENCE, _UNIT),
+     "at least one target"),
+    (_non_planar_choice, "target 0 has 2 configurations but the robot has no planar arm"),
+    (functools.partial(MetricParams, [1.0, 1.0], [1.0], [1.0]), "length mismatch"),
+], ids=["2opt-initial", "open-cycle", "path-length", "empty-graph", "manipulability", "params-length"])
+def test_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
