@@ -20,7 +20,7 @@ import numpy as np
 
 from .kinematics import IkSolutionSet
 from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
-from .model import Configuration, GuardError
+from .model import Configuration, GuardError, ordered_sum
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
 BRUTE_FORCE_GUARD = 10**6
@@ -125,7 +125,7 @@ def build_layered_graph(
 
 
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
-    """Cost of one Start->Goal path, accumulated edge by edge from the Start side."""
+    """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``."""
     chosen = tuple(int(c) for c in chosen)
     if len(chosen) != len(graph.layer_sizes):
         raise ValueError(f"expected {len(graph.layer_sizes)} choices, got {len(chosen)}")
@@ -133,10 +133,7 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     for i in range(len(chosen) - 1):
         edges.append(float(graph.step_costs[i][chosen[i], chosen[i + 1]]))
     edges.append(float(graph.goal_costs[chosen[-1]]))
-    total = 0.0
-    for value in edges:
-        total += value
-    return total, tuple(edges)
+    return ordered_sum(edges), tuple(edges)
 
 
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:

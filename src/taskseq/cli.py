@@ -16,7 +16,9 @@ invalid task file) exits 2 there and 1 elsewhere. All randomness enters through
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -192,17 +194,13 @@ def load_task(path: str) -> Task:
     return task_from_dict(doc)
 
 
-def _format_csv_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def rows_to_csv(rows: list) -> str:
-    lines = [",".join(BENCHMARK_FIELDS)]
-    for row in rows:
-        lines.append(",".join(_format_csv_value(row[field]) for field in BENCHMARK_FIELDS))
-    return "\n".join(lines) + "\n"
+    """The rows under a header of BENCHMARK_FIELDS; the csv writer formats floats by ``repr``."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, BENCHMARK_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return text.getvalue()
 
 
 # ---------------------------------------------------------------------------

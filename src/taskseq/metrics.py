@@ -50,7 +50,7 @@ class MetricKind(str, Enum):
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Per-joint weights and limits consumed by the metrics; the limits must be positive."""
+    """Per-joint weights and limits of the metrics: limits positive, weights finite and >= 0."""
 
     weights: np.ndarray
     vel_max: np.ndarray
@@ -65,6 +65,8 @@ class MetricParams:
             raise ValueError(f"weights/vel_max/acc_max length mismatch: {sizes}")
         if not (np.all(self.vel_max > 0.0) and np.all(self.acc_max > 0.0)):
             raise ValueError("vel_max and acc_max must be positive")
+        if not (np.all(np.isfinite(self.weights)) and np.all(self.weights >= 0.0)):
+            raise ValueError("weights must be finite and non-negative")
 
     @classmethod
     def from_robot(cls, robot: RobotModel) -> "MetricParams":

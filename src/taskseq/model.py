@@ -36,6 +36,15 @@ ValidationReport = list
 MAGNITUDE_LIMIT = 1e50
 
 
+def ordered_sum(values) -> float:
+    """The values added left to right from 0.0: how every reported cost (tour,
+    path, schedule) is summed. Not ``sum()``, which compensates from Python 3.12."""
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total)
+
+
 class GuardError(RuntimeError):
     """An instance exceeds the size guard of an exact solver or oracle."""
 
@@ -276,8 +285,6 @@ def generate_random_task(n: int, m_max: int, seed: int, mode: str = "explicit_ik
         # Annulus where the target circle traced by the tool stays inside the
         # wrist workspace for every orientation.
         r_lo, r_hi = inner + tool, outer - tool
-        if r_lo >= r_hi:
-            raise ValueError("planar arm has a degenerate guaranteed-reach annulus")
         targets = []
         for i in range(n):
             u = rng.uniform(0.0, 1.0)

@@ -25,7 +25,7 @@ import numpy as np
 from . import cgraph, tsp
 from .kinematics import IK_COUNTERS, IkSolutionSet, ik_pool, manipulability, theta_grid
 from .metrics import MetricKind, MetricParams, _price, pairwise_cost
-from .model import GuardError, Task, generate_random_task
+from .model import GuardError, Task, generate_random_task, ordered_sum
 from .tsp import SolverKind, TourKind, TourOrder
 
 #: Guard for the exact joint optimum: its DP prices 2^n * V^2 moves for n targets, V configurations.
@@ -134,19 +134,15 @@ def execute_trajectory_schedule(configurations, vel_max, acc_max) -> float:
     """Total duration of straight joint-space segments through ``configurations``.
 
     Each consecutive pair moves on a synchronized trapezoidal profile; the
-    sequence must include the endpoints (home at both ends for a full tour).
+    sequence must include the endpoints (home at both ends for a full tour). The
+    durations are added in order by ``ordered_sum``, as ``cgraph.path_cost`` adds edges.
     """
     if len(configurations) < 2:
         raise ValueError("schedule needs at least two configurations")
     stack = np.asarray(configurations, dtype=float)
     params = MetricParams(np.ones(np.size(vel_max)), vel_max, acc_max)
     durations = _price(MetricKind.LINEAR_INTERP_DURATION, params, stack[:-1], stack[1:])
-    total = 0.0
-    # Summed left to right like cgraph.path_cost, so a linear_interp_duration
-    # step-2 cost of the same sequence has the same bits.
-    for duration in durations.tolist():
-        total += duration
-    return total
+    return ordered_sum(durations.tolist())
 
 
 def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]:
@@ -223,18 +219,16 @@ def _joint_plan(task, config, params, ik_sets, work, lap):
         raise GuardError(f"joint-search guard: 2^{task.n} x {sum(sizes)}^2 configurations = "
                          f"{moves} moves exceed {GTSP_GUARD_MOVES}")
 
-    stack = np.concatenate([s.solutions for s in ik_sets])
-    bounds = np.cumsum([0, *sizes])
-    target = np.repeat(np.arange(task.n), sizes)  # of each stacked configuration
-    step = np.zeros((len(stack), len(stack)))  # within a target: no move, left unpriced
+    nodes = np.concatenate([task.home[None], *(s.solutions for s in ik_sets)])
+    bounds = np.cumsum([0, 1, *sizes])  # node blocks: home, then each target's configurations
+    dm = np.zeros((len(nodes), len(nodes)))  # within a block: no move, left unpriced
     for lo, hi in zip(bounds, bounds[1:]):
         for cols in (slice(0, lo), slice(hi, None)):
-            step[lo:hi, cols] = pairwise_cost(config.metric, params, stack[lo:hi], stack[cols])
-    start = pairwise_cost(config.metric, params, task.home, stack)[0]
-    goal = pairwise_cost(config.metric, params, stack, task.home)[:, 0]
-    _, walk = tsp._cluster_walk(start, step, goal, target)
+            dm[lo:hi, cols] = pairwise_cost(config.metric, params, nodes[lo:hi], nodes[cols])
+    target = np.repeat(np.arange(task.n), sizes)  # of each configuration, node v + 1
+    _, walk = tsp._cluster_walk(dm, target)
     order = TourOrder(target[walk], TourKind.OPEN_PATH)
-    chosen = tuple((walk - bounds[target[walk]]).tolist())
+    chosen = tuple((walk - bounds[target[walk] + 1] + 1).tolist())  # node less its block's first
     return order, _task_space_cycle_cost(task, order, config.include_home_depot), chosen
 
 

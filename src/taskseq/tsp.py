@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .kinematics import forward_kinematics
-from .model import GuardError, Task
+from .model import GuardError, Task, ordered_sum
 
 #: Node-count guard for the exact dynamic program (memory and time grow as 2^n).
 EXACT_GUARD = 20
@@ -114,15 +114,13 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
 
 
 def tour_cost(dm: np.ndarray, tour: TourOrder) -> float:
-    """Sum of consecutive edges, plus the closing edge for closed cycles."""
+    """Edges in visiting order, plus the closing edge of a closed cycle, by ``ordered_sum``."""
     dm = _square_matrix(dm)
     order = tour.order
-    total = 0.0
-    for i in range(len(order) - 1):
-        total += dm[order[i], order[i + 1]]
+    edges = [dm.item(order[i], order[i + 1]) for i in range(len(order) - 1)]
     if tour.closed and len(order) > 0:
-        total += dm[order[-1], order[0]]
-    return float(total)
+        edges.append(dm.item(order[-1], order[0]))
+    return ordered_sum(edges)
 
 
 def _canonical_cycle(order: list) -> TourOrder:
@@ -134,16 +132,17 @@ def _canonical_cycle(order: list) -> TourOrder:
     return TourOrder(tuple(order), TourKind.CLOSED_CYCLE)
 
 
-def _cluster_walk(start, step, goal, cluster) -> tuple[float, list[int]]:
+def _cluster_walk(dm: np.ndarray, cluster) -> tuple[float, list[int]]:
     """Cheapest walk Start -> one vertex of every cluster -> Goal, by a DP over subsets.
 
-    Vertex v lies in cluster ``cluster[v]`` (0..k-1, none empty); ``start[v]``,
-    ``step[u, v]`` and ``goal[v]`` price Start -> v, u -> v and v -> Goal, none
-    NaN; steps within a cluster are ignored. The state is (visited clusters,
+    ``dm`` prices moves between nodes, none NaN: node 0 is both Start and
+    Goal, and vertex v is node v + 1, in cluster ``cluster[v]`` (0..k-1, none
+    empty); moves within a cluster are ignored. The state is (visited clusters,
     last vertex), each walk summed from the Start side, so the minimum is exact.
     Ties go to the lowest last vertex, then to the lowest predecessor of each.
     Returns the cost and the vertices in visiting order (meaningless at inf).
     """
+    start, step, goal = dm[0, 1:], dm[1:, 1:], dm[1:, 0]
     k = int(np.max(cluster)) + 1
     bit = np.left_shift(1, np.asarray(cluster, dtype=np.int64))
     masks = np.arange(1 << k)
@@ -178,7 +177,7 @@ def solve_exact(dm: np.ndarray) -> TourOrder:
         )
     if n > 3:
         dm = np.where(np.isnan(dm), np.inf, dm)
-        cost, walk = _cluster_walk(dm[0, 1:], dm[1:, 1:], dm[1:, 0], np.arange(n - 1))
+        cost, walk = _cluster_walk(dm, np.arange(n - 1))
         if cost < np.inf:
             return _canonical_cycle([0] + [v + 1 for v in walk])
     return TourOrder(tuple(range(n)), TourKind.CLOSED_CYCLE)
@@ -219,17 +218,16 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
     Each walk appends its nearest unvisited node, the lowest index on ties (all at
-    inf included). The walks share one numpy pick per step, and each sums its own
-    cost in visiting order. The cheapest cycle wins, earlier starts winning ties.
+    inf included). The walks share one numpy pick per step; each cycle is priced by
+    :func:`tour_cost`. The cheapest cycle wins, earlier starts winning ties.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
-    dist = memoryview(np.ascontiguousarray(dm))
     current, visited = np.arange(restarts), np.eye(restarts, n, dtype=bool)
     seen = memoryview(visited)
-    orders, costs = [[start] for start in range(restarts)], [0.0] * restarts
+    orders = [[start] for start in range(restarts)]
     for _ in range(1, n):
         rows = dm.take(current, axis=0)
         np.copyto(rows, np.inf, where=visited)
@@ -237,10 +235,9 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
         for k, nxt in enumerate(current.tolist()):
             if seen[k, nxt]:  # every unvisited node is at inf: take the lowest-index one
                 nxt = current[k] = int(visited[k].argmin())
-            costs[k] += dist[orders[k][-1], nxt]
             orders[k].append(nxt)
             seen[k, nxt] = True
-    costs = [cost + dist[order[-1], order[0]] for order, cost in zip(orders, costs)]
+    costs = [tour_cost(dm, TourOrder(order)) for order in orders]
     finite = [k for k, cost in enumerate(costs) if cost < np.inf]  # NaN and inf cycles never win
     return TourOrder(orders[min(finite, key=costs.__getitem__)] if finite else range(n))
 

@@ -307,6 +307,13 @@ def _tied_graphs(draw):
     )
 
 
+def test_path_cost_adds_its_edges_from_the_start_side():
+    # Edges 1e16, 1, 1: each 1 rounds away; a compensated sum would keep both.
+    graph = cgraph.LayeredGraph(start_costs=np.array([1e16]), step_costs=(np.array([[1.0]]),),
+                                goal_costs=np.array([1.0]), price_calls=0)
+    assert path_cost(graph, (0, 0)) == (1e16, (1e16, 1.0, 1.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph=_tied_graphs())
 def test_search_breaks_many_way_ties_like_the_enumeration(graph):

@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from taskseq.cli import main, parse_step_size, result_to_dict, task_from_dict, task_to_dict
+from taskseq.cli import (
+    main,
+    parse_step_size,
+    result_to_dict,
+    save_json,
+    task_from_dict,
+    task_to_dict,
+)
 from taskseq.model import RobotModel, Task, TaskTarget, generate_random_task
 from taskseq.metrics import MetricKind
 from taskseq.pipeline import BENCHMARK_FIELDS, PipelineConfig, solve_sequence
@@ -279,6 +286,17 @@ def test_configurations_without_positions_are_refused(tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_position_only_targets_need_the_planar_arm(tmp_path, capsys):
+    task = tmp_path / "t.json"
+    task.write_text(json.dumps({"robot": {"dof": 2}, "home": [0.0, 0.0],
+                                "targets": [{"id": 0, "position": [0.5, 0.5]}]}), encoding="utf-8")
+    message = "error: invalid task:\n  target 0 has only a position but the robot has no planar links\n"
+    assert main(["solve", "--task", str(task), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == message
+    assert main(["oracle", "--task", str(task), "--what", "step2"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_targets_listed_out_of_id_order_are_refused(tmp_path, capsys):
     task = tmp_path / "t.json"
     assert main(["generate", "--n", "4", "--m-max", "3", "--seed", "1", "--out", str(task)]) == 0
@@ -309,6 +327,20 @@ def test_benchmark_has_no_m_max_flag(tmp_path):
         main(["benchmark", "--axis", "metric", "--sizes", "5", "--m-max", "3",
               "--csv", str(tmp_path / "b.csv")])
     assert refused.value.code == 2
+
+
+def test_benchmark_without_a_size_exits_1(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["benchmark", "--axis", "metric", "--sizes", ",", "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --sizes must list at least one instance size\n"
+    assert not out.exists()
+
+
+def test_save_json_onto_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(OSError):
+        save_json(str(tmp_path / "taken"), {"a": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_benchmark_is_deterministic_modulo_timings(tmp_path):

@@ -402,6 +402,25 @@ def test_non_positive_limits_raise_through_pairwise_and_edge_cost(kind, vel_max,
         edge_cost(kind, MetricParams(np.ones(3), vel_max, acc_max), a, b)
 
 
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["weighted_euclidean", "edge_cost", "pairwise_cost"])
+def test_bad_weights_raise_through_every_entry_point(entry, weight):
+    # A negative weight gave sqrt(-1) = nan, a NaN weight nan, and inf * 0 nan.
+    weights, a, b = [weight], np.zeros(1), np.zeros(1)
+    kind, unit = MetricKind.WEIGHTED_EUCLIDEAN, np.ones(1)
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        if entry == "weighted_euclidean":
+            weighted_euclidean(a, b, weights)
+        elif entry == "edge_cost":
+            edge_cost(kind, MetricParams(weights, unit, unit), a, b)
+        else:
+            pairwise_cost(kind, MetricParams(weights, unit, unit), a[None], b[None])
+
+
+def test_a_zero_weight_still_prices():
+    assert weighted_euclidean([0.0, 0.0], [5.0, 1.0], [0.0, 1.0]) == 1.0
+
+
 @pytest.mark.parametrize("vel_max", [[-1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 def test_max_joint_difference_rejects_non_positive_vel_max(vel_max):
     with pytest.raises(ValueError, match="must be positive"):

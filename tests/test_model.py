@@ -10,6 +10,7 @@ from taskseq.model import (
     Task,
     TaskTarget,
     generate_random_task,
+    ordered_sum,
     planar_arm,
     validate_task,
 )
@@ -288,3 +289,10 @@ def test_generator_rejects_bad_arguments():
         generate_random_task(1, 0, seed=0)
     with pytest.raises(ValueError):
         generate_random_task(1, 1, seed=0, mode="nope")
+
+
+def test_ordered_sum_adds_left_to_right_without_compensation():
+    # Each 1.0 is half an ulp of 1e16 and rounds away; a compensated sum
+    # (the builtin sum() from Python 3.12) gives 1.0000000000000002e16.
+    assert ordered_sum([1e16, 1.0, 1.0]) == 1e16
+    assert ordered_sum([]) == 0.0

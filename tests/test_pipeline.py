@@ -9,9 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
-from taskseq.kinematics import IkSolutionSet
-from taskseq.metrics import MetricKind, MetricParams
-from taskseq.model import GuardError, RobotModel, Task, TaskTarget, generate_random_task
+from taskseq.cli import task_from_dict
+from taskseq.kinematics import IkSolutionSet, Pose2D, forward_kinematics, ik_3r, ik_pool
+from taskseq.metrics import MetricKind, MetricParams, default_weights
+from taskseq.model import (
+    GuardError,
+    RobotModel,
+    Task,
+    TaskTarget,
+    generate_random_task,
+    planar_arm,
+    validate_task,
+)
 from taskseq.pipeline import (
     BENCHMARK_AXES,
     GTSP_GUARD_MOVES,
@@ -113,6 +122,12 @@ def test_schedule_identity_and_1d_examples():
     ) == pytest.approx(6.0)
     with pytest.raises(ValueError):
         execute_trajectory_schedule([q], [1.0, 1.0], [1.0, 1.0])
+
+
+def test_schedule_adds_its_segments_in_order():
+    # Segments of 1e16 s, 1 s and 1 s: each 1 rounds away; a compensated sum would keep both.
+    sequence = [(0.0, 0.0), (1e16, 0.0), (1e16, 0.25), (1e16, 0.5)]
+    assert execute_trajectory_schedule(sequence, [1.0, 1.0], [1.0, 1.0]) == 1e16
 
 
 def test_schedule_equals_step2_cost_under_linear_interp_metric():
@@ -223,6 +238,16 @@ def test_every_method_refuses_targets_without_a_position(runner):
         runner(Task(robot=robot, home=[0.0], targets=targets), COARSE)
 
 
+@pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])
+def test_every_method_refuses_targets_too_far_apart(runner):
+    # A Task built in Python skips validate_task; 2e200 squared overflows the distance.
+    robot = RobotModel(dof=1, vel_max=[1.0], acc_max=[1.0])
+    targets = tuple(TaskTarget(id=i, position=[x, 0.0], ik_solutions=(np.array([float(i)]),))
+                    for i, x in enumerate((1e200, -1e200)))
+    with pytest.raises(ValueError, match="target distances overflow"):
+        runner(Task(robot=robot, home=[0.0], targets=targets), COARSE)
+
+
 _UNIT = MetricParams([1.0], [1.0], [1.0])
 
 
@@ -236,6 +261,13 @@ def _non_planar_choice():
     return manipulability_choice(generate_random_task(2, 1, seed=0), sets)
 
 
+def _raise_report(task):  # validate_task reports its violations rather than raising them
+    raise ValueError("\n".join(validate_task(task)))
+
+
+_NON_PLANAR = RobotModel(dof=2, vel_max=[1.0, 1.0], acc_max=[1.0, 1.0])
+
+
 @pytest.mark.parametrize("call,message", [
     (functools.partial(solve_2opt, np.ones((3, 3)), initial=TourOrder((0, 1, 1))),
      "permutation of all nodes"),
@@ -246,7 +278,24 @@ def _non_planar_choice():
      "at least one target"),
     (_non_planar_choice, "target 0 has 2 configurations but the robot has no planar arm"),
     (functools.partial(MetricParams, [1.0, 1.0], [1.0], [1.0]), "length mismatch"),
-], ids=["2opt-initial", "open-cycle", "path-length", "empty-graph", "manipulability", "params-length"])
+    (functools.partial(task_from_dict, {"robot": {"dof": 1}, "home": [0.0],
+                                        "targets": [{"position": [1.0, 0.0]}]}),
+     "every target needs an 'id' field"),
+    (functools.partial(forward_kinematics, _NON_PLANAR, [0.0, 0.0]), "robot has no planar_links"),
+    (functools.partial(forward_kinematics, planar_arm(), [0.0, 0.0]), "configuration length 2 != dof 3"),
+    (functools.partial(ik_3r, planar_arm((1.0, 1.0)), Pose2D(1.0, 0.0, 0.0)),
+     "ik_3r needs a 3-link arm, got 2 links"),
+    (functools.partial(ik_pool, planar_arm(), [[1.0, 0.0, 0.0]], math.pi),
+     "IK positions must be 2-D points"),
+    (functools.partial(default_weights, _NON_PLANAR), "default_weights needs a planar arm"),
+    (functools.partial(_raise_report, Task(RobotModel(0, [], []), [], ())),
+     "robot dof must be >= 1, got 0"),
+    (functools.partial(_raise_report, Task(_NON_PLANAR, [0.0, 0.0], ())),
+     "task must contain at least one target"),
+    (functools.partial(solve_2opt, np.ones((2, 3))), "distance matrix must be square"),
+], ids=["2opt-initial", "open-cycle", "path-length", "empty-graph", "manipulability", "params-length",
+        "target-without-id", "fk-non-planar", "fk-length", "ik-two-links", "ik-3d-points",
+        "weights-non-planar", "dof-zero", "no-targets", "non-square-matrix"])
 def test_refusals_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -337,6 +337,12 @@ def test_tour_cost_variants():
     assert tour_cost(line, TourOrder((0, 1, 2), TourKind.OPEN_PATH)) == pytest.approx(2.0)
 
 
+def test_tour_cost_adds_its_edges_in_visiting_order():
+    # Edges 1e16, 1, 1: each 1 rounds away; a compensated sum would keep both.
+    dm = np.array([[0.0, 1e16, 1.0], [1e16, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert tour_cost(dm, TourOrder((0, 1, 2))) == 1e16
+
+
 def test_solver_cost_ordering():
     rng = np.random.default_rng(23)
     for _ in range(20):
