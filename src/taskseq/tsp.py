@@ -245,7 +245,8 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
 def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
     """The k nearest other nodes of every node, nearest first, and their distances.
 
-    Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held.
+    Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held. Equal
+    distances keep the order ``argpartition`` leaves them in.
     """
     n = dm.shape[0]
     neighbors = np.empty((n, k), dtype=np.intp)
@@ -262,20 +263,21 @@ def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
 class _LocalSearch:
     """Neighbor-list 2-opt and Or-opt on a cycle held as plain Python lists.
 
-    ``node`` maps tour positions to nodes and ``pos`` is its inverse. A node
-    popped from ``queue`` tries an Or-opt move and then a 2-exchange; a move
-    puts every node whose edges it changed back on the queue (don't-look bits).
+    ``node`` maps tour positions to nodes and ``pos`` is its inverse. ``dist`` holds
+    one 1-D memoryview per row: ``dist[i][j]`` reads in half the time of a 2-D view's
+    ``[i, j]``, and ``dm.tolist()`` would build n^2 Python floats. A node popped from
+    ``queue`` tries an Or-opt move and then a 2-exchange; a move puts every node
+    whose edges it changed back on the queue (don't-look bits).
     """
 
     def __init__(self, dm: np.ndarray, order, work: dict, tol: float):
-        self.dist = memoryview(np.ascontiguousarray(dm))  # dist[i, j] is a Python float
+        self.dist = [memoryview(row) for row in np.ascontiguousarray(dm)]
         self.tol = tol
         self.n = len(order)
         self.node = list(order)
-        self.pos = [0] * self.n
-        for p, v in enumerate(self.node):
-            self.pos[v] = p
+        self.pos = np.argsort(self.node).tolist()
         self.neighbors, self.near = _neighbor_lists(dm, min(NEIGHBORS, self.n - 1))
+        self.nearest = [near[0] for near in self.near]  # no scan opens unless this is nearer
         self.queue = deque()
         self.active = [False] * self.n
         self.work = work
@@ -291,12 +293,13 @@ class _LocalSearch:
         while self.queue:
             a = self.queue.popleft()
             self.active[a] = False
-            for move, counter in ((self.or_opt, "or_opt_moves"), (self.two_opt, "two_opt_moves")):
-                touched = move(a)
-                if touched:
-                    self.work[counter] += 1
-                    self.push(touched)
-                    break
+            if touched := self.or_opt(a):
+                self.work["or_opt_moves"] += 1
+            elif touched := self.two_opt(a):
+                self.work["two_opt_moves"] += 1
+            else:
+                continue
+            self.push(touched)
 
     def _write(self, start: int, nodes: list) -> None:
         n, node, pos = self.n, self.node, self.pos
@@ -340,10 +343,12 @@ class _LocalSearch:
         edge. Returns the four endpoints, or None.
         """
         dist, n, node, pos = self.dist, self.n, self.node, self.pos
-        pa = pos[a]
+        pa, row_a = pos[a], dist[a]
         for step in (1, -1):
             b = node[(pa + step) % n]
-            d_ab = dist[a, b]
+            d_ab = row_a[b]
+            if not self.nearest[a] < d_ab:
+                continue
             for c, d_ac in zip(self.neighbors[a], self.near[a]):
                 if not d_ac < d_ab:
                     break
@@ -351,7 +356,7 @@ class _LocalSearch:
                 d = node[(pc + step) % n]
                 if c == a or c == b or d == a:  # a's row may hold NaN, ranked with itself
                     continue
-                if d_ac + dist[b, d] - d_ab - dist[c, d] < -self.tol:
+                if d_ac + dist[b][d] - d_ab - dist[c][d] < -self.tol:
                     if step == 1:
                         self.reverse(pa + 1, pc)  # a c ... b d
                     else:
@@ -375,8 +380,10 @@ class _LocalSearch:
             start = (pa + offset) % n
             first, last = node[start], node[(start + length - 1) % n]
             prev, nxt = node[start - 1], node[(start + length) % n]
-            gain = dist[prev, first] + dist[last, nxt] - dist[prev, nxt]
-            for end, other in ((first, last), (last, first))[:min(length, 2)]:
+            gain = dist[prev][first] + dist[last][nxt] - dist[prev][nxt]
+            for end, other in ((first, last), (last, first)) if length > 1 else ((first, last),):
+                if not self.nearest[end] < gain:
+                    continue
                 for c, d_ec in zip(self.neighbors[end], self.near[end]):
                     if not d_ec < gain:
                         break
@@ -387,7 +394,7 @@ class _LocalSearch:
                         y = node[(pc + step) % n]
                         if (pos[y] - start) % n < length:
                             continue
-                        if d_ec + dist[other, y] - dist[c, y] - gain < -self.tol:
+                        if d_ec + dist[other][y] - dist[c][y] - gain < -self.tol:
                             x = c if step == 1 else y
                             self.move(start, length, x, forward=(end == first) == (step == 1))
                             return prev, nxt, first, last, c, y
@@ -408,7 +415,7 @@ def _improving_exchange(dm: np.ndarray, node: np.ndarray, tol: float) -> tuple[i
     for start in range(0, n - 2, ROW_BLOCK):
         rows = np.arange(start, min(start + ROW_BLOCK, n - 2))
         cols = np.arange(start + 2, n)
-        delta = dm[node[rows, None], node[cols]] + dm[nxt[rows, None], nxt[cols]]
+        delta = dm[node[rows]].take(node[cols], axis=1) + dm[nxt[rows]].take(nxt[cols], axis=1)
         delta -= edge[rows, None]
         delta -= edge[cols]
         hit = (delta < -tol) & (cols >= rows[:, None] + 2)
@@ -434,13 +441,16 @@ def solve_2opt(
     applied and the search resumes. Every move gains more than
     IMPROVEMENT_EPS and more than ROUNDING_SLACK times the longest finite
     distance, so the result is 2-opt locally optimal and never costlier than
-    the initial tour. ``dm`` must be symmetric.
+    the initial tour. A ``dm`` that is not symmetric (NaN matching NaN) is
+    refused with ``ValueError``, because on such a matrix moves can cycle forever.
 
     ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
     (by the queue and by the full check), Or-opt moves, and full checks run.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
+    if not (np.array_equal(dm, dm.T) or np.array_equal(dm, dm.T, equal_nan=True)):
+        raise ValueError("distance matrix must be symmetric")
     if initial is None:
         initial = solve_rnn(dm, 1)
     if sorted(initial.order) != list(range(n)):

@@ -293,9 +293,10 @@ _NON_PLANAR = RobotModel(dof=2, vel_max=[1.0, 1.0], acc_max=[1.0, 1.0])
     (functools.partial(_raise_report, Task(_NON_PLANAR, [0.0, 0.0], ())),
      "task must contain at least one target"),
     (functools.partial(solve_2opt, np.ones((2, 3))), "distance matrix must be square"),
+    (functools.partial(solve_2opt, np.triu(np.ones((4, 4)))), "distance matrix must be symmetric"),
 ], ids=["2opt-initial", "open-cycle", "path-length", "empty-graph", "manipulability", "params-length",
         "target-without-id", "fk-non-planar", "fk-length", "ik-two-links", "ik-3d-points",
-        "weights-non-planar", "dof-zero", "no-targets", "non-square-matrix"])
+        "weights-non-planar", "dof-zero", "no-targets", "non-square-matrix", "asymmetric-matrix"])
 def test_refusals_name_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -259,6 +260,25 @@ def test_2opt_terminates_when_distances_dwarf_their_differences(n, far):
     assert tour_cost(dm, tour) <= tour_cost(dm, solve_rnn(dm, 1)) * (1 + 1e-12)
 
 
+def _one_sided(change):
+    # Six points on which a one-sided inf at (1, 3) once kept 2-opt cycling without end.
+    dm = _euclidean_matrix(_points(6, 4))
+    dm[1, 3] = change(dm[1, 3])
+    return dm
+
+
+@pytest.mark.parametrize("change", [lambda d: np.inf, lambda d: d / 2], ids=["inf", "finite"])
+def test_2opt_refuses_a_matrix_that_is_not_symmetric(change):
+    with pytest.raises(ValueError, match="distance matrix must be symmetric"):
+        solve_2opt(_one_sided(change))
+
+
+def test_2opt_solves_a_symmetric_matrix_with_nan_entries():
+    dm = _euclidean_matrix(_points(12, 12))
+    dm[2, 5] = dm[5, 2] = dm[7, 7] = np.nan
+    assert sorted(solve_2opt(dm).order) == list(range(12))
+
+
 @st.composite
 def _planar_points(draw):
     n = draw(st.integers(1, 60), label="n")
@@ -298,6 +318,95 @@ def test_2opt_at_2001_points_is_2opt_optimal_and_beats_its_seed():
     assert sorted(tour.order) == list(range(2001))
     assert _improving_exchange_count(dm, tour.order) == 0
     assert tour_cost(dm, tour) <= tour_cost(dm, solve_rnn(dm, 1))
+
+
+def _task_matrix(n, seed):
+    return build_task_distance_matrix(generate_random_task(n, 1, seed=seed, mode="planar"))
+
+
+def _points(n, seed):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (n, 2))
+
+
+def _shuffled(n, seed):
+    return TourOrder(np.random.default_rng(seed).permutation(n))
+
+
+def _with_inf_edges(dm, count, seed):
+    i, j = np.random.default_rng(seed).integers(0, len(dm), (2, count))
+    dm[i, j] = dm[j, i] = np.inf
+    np.fill_diagonal(dm, 0.0)
+    return dm
+
+
+_GRID = np.indices((6, 6)).reshape(2, -1).T  # every distance repeats: ties everywhere
+
+#: name -> (matrix, initial tour or None for the nearest-neighbor seed).
+_PINNED_CASES = {
+    **{f"tour-large-{s}": (lambda s=s: (_task_matrix(400, s), None)) for s in (1, 2, 3)},
+    "ik-dense": lambda: (_task_matrix(150, 1), None),
+    "grid-6x6": lambda: (_euclidean_matrix(_GRID), None),
+    "grid-6x6-shuffled": lambda: (_euclidean_matrix(_GRID), _shuffled(36, 6)),
+    "duplicates": lambda: (_euclidean_matrix(_points(5, 5)[np.arange(30) % 5]), None),
+    "inf-edges": lambda: (_with_inf_edges(_euclidean_matrix(_points(30, 30)), 12, 30), None),
+    **{f"n{n}": (lambda n=n: (_euclidean_matrix(_points(n, n)), None)) for n in range(4, 8)},
+    **{f"n{n}-shuffled": (lambda n=n: (_euclidean_matrix(_points(n, n)), _shuffled(n, n)))
+       for n in range(4, 8)},
+    **{f"shuffled-{s}": (lambda s=s: (_euclidean_matrix(_points(80, s)), _shuffled(80, s)))
+       for s in (1, 2, 3)},
+}
+
+
+def _pinned_form(order):
+    """Orders up to 40 nodes as they are; longer ones by digest."""
+    if len(order) <= 40:
+        return tuple(order)
+    return hashlib.sha256(repr(tuple(order)).encode()).hexdigest()[:16]
+
+
+#: name -> (pinned form of the 2-opt order, TOUR_COUNTERS); computed before the
+#: local search read distance rows, so each move and counter is unchanged since.
+_PINNED = {
+    "duplicates": ((
+        0, 5, 10, 15, 20, 25, 1, 6, 11, 16, 21, 26, 3, 8, 13, 18, 23, 28, 2, 7, 12, 17, 22, 27, 4, 9,
+        14, 19, 24, 29
+    ), (0, 0, 1)),
+    "grid-6x6": ((
+        12, 6, 0, 1, 2, 3, 4, 5, 11, 10, 9, 8, 7, 13, 14, 15, 16, 17, 23, 22, 21, 20, 19, 25, 26, 27,
+        28, 29, 35, 34, 33, 32, 31, 30, 24, 18
+    ), (4, 0, 1)),
+    "grid-6x6-shuffled": ((
+        1, 7, 8, 2, 3, 4, 5, 11, 10, 9, 15, 16, 17, 23, 29, 35, 34, 28, 22, 21, 27, 33, 32, 26, 25, 31,
+        30, 24, 18, 19, 20, 14, 13, 12, 6, 0
+    ), (3, 41, 1)),
+    "ik-dense": ('36a73d2111aeca7f', (33, 47, 3)),
+    "inf-edges": ((
+        16, 12, 17, 22, 3, 18, 14, 15, 27, 0, 29, 26, 4, 5, 10, 1, 28, 11, 7, 21, 8, 9, 2, 20, 13, 24,
+        25, 6, 23, 19
+    ), (4, 2, 1)),
+    "n4": ((0, 2, 3, 1), (0, 0, 1)),
+    "n4-shuffled": ((2, 0, 1, 3), (0, 1, 1)),
+    "n5": ((0, 1, 3, 2, 4), (0, 0, 1)),
+    "n5-shuffled": ((0, 1, 3, 2, 4), (0, 2, 1)),
+    "n6": ((1, 0, 4, 3, 2, 5), (0, 2, 1)),
+    "n6-shuffled": ((4, 3, 2, 5, 1, 0), (0, 3, 1)),
+    "n7": ((0, 2, 3, 6, 5, 1, 4), (0, 0, 1)),
+    "n7-shuffled": ((6, 3, 2, 0, 4, 1, 5), (0, 3, 1)),
+    "shuffled-1": ('e9510ad719934fe5', (25, 127, 1)),
+    "shuffled-2": ('7d24ea5f72420c72', (24, 119, 1)),
+    "shuffled-3": ('3dbeab32e331e016', (25, 106, 1)),
+    "tour-large-1": ('917cb7624ecc65a5', (54, 79, 1)),
+    "tour-large-2": ('dee7641d177992e9', (57, 124, 1)),
+    "tour-large-3": ('225d6d41325766d1', (84, 117, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CASES))
+def test_2opt_orders_and_counters_are_pinned(name):
+    dm, initial = _PINNED_CASES[name]()
+    stats = {}
+    order = solve_2opt(dm, initial, stats=stats).order
+    assert (_pinned_form(order), tuple(stats[c] for c in TOUR_COUNTERS)) == _PINNED[name]
 
 
 def test_rnn_on_a_line():
