@@ -126,9 +126,12 @@ def build_layered_graph(
 
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``."""
-    chosen = tuple(int(c) for c in chosen)
-    if len(chosen) != len(graph.layer_sizes):
-        raise ValueError(f"expected {len(graph.layer_sizes)} choices, got {len(chosen)}")
+    chosen, sizes = tuple(map(int, chosen)), graph.layer_sizes
+    if len(chosen) != len(sizes):
+        raise ValueError(f"expected {len(sizes)} choices, got {len(chosen)}")
+    for layer, (c, m) in enumerate(zip(chosen, sizes)):
+        if not 0 <= c < m:
+            raise ValueError(f"choice {c} of layer {layer} is outside [0, {m})")
     edges = [float(graph.start_costs[chosen[0]])]
     for i in range(len(chosen) - 1):
         edges.append(float(graph.step_costs[i][chosen[i], chosen[i + 1]]))

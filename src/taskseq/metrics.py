@@ -109,9 +109,8 @@ def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     positive limits. Then max_k f(d_k) is exactly f(max_k d_k), so the cost
     formula runs once per group, on the group's largest distances. A max is
     exact in any order, so the result has the bits of pricing every joint and
-    reducing over the full cost array, and a graph block never holds an
-    (m_a, m_b, dof) array. Callers check that ``a``, ``b`` and the limits
-    have the same, non-zero number of joints.
+    reducing over the full cost array. Callers check that ``a``, ``b`` and
+    the limits have the same, non-zero number of joints.
     """
     out = None
     for joints, limits in groups:
@@ -168,14 +167,12 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
         )
     if a.shape[-1] == 0:
         raise ValueError("cannot price a move of zero joints")
-    if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        # The one layout condition: the difference array is built C-ordered,
-        # so np.sum adds each move's joints from one contiguous row in its
-        # pairwise order (8 or more terms), as for a single move, whatever
-        # the layout of b. A row-major copy of b is the faster read, and the
-        # terms (w_k * d_k) * d_k overwrite the differences.
-        diff = np.subtract(a, np.ascontiguousarray(b), order="C")
-        return np.sqrt(np.sum(np.multiply(params.weights * diff, diff, out=diff), axis=-1))
+    if kind is MetricKind.WEIGHTED_EUCLIDEAN:  # added in joint order from 0.0, as ordered_sum adds
+        total = 0.0
+        for k, weight in enumerate(params.weights.tolist()):
+            diff = a[..., k] - b[..., k]
+            total += np.multiply(weight * diff, diff, out=diff)
+        return np.sqrt(total)
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
         return _joint_max(a, b, np.divide, _joint_groups(params.vel_max.tobytes()))
     groups = _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes())
@@ -218,7 +215,9 @@ def default_weights(robot: RobotModel) -> np.ndarray:
 
 
 def edge_cost(kind: MetricKind, params: MetricParams, q: Configuration, q_to: Configuration) -> float:
-    """Cost of the move from ``q`` to ``q_to`` under the metric selected by ``kind``."""
+    """Cost under ``kind`` of exactly one move, ``q`` to ``q_to``; a stack raises ``ValueError``."""
+    if np.ndim(q) > 1 or np.ndim(q_to) > 1:
+        raise ValueError(f"edge_cost prices one move, got shapes {np.shape(q)} and {np.shape(q_to)}")
     return float(_price(kind, params, q, q_to)[0])
 
 
@@ -230,11 +229,11 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     Vectorized companion of :func:`edge_cost`, used to price whole graph
     layers: both run :func:`_price`, so entries match the scalar metric bit
     for bit. Output holding more than ``TILE_ENTRIES`` entries is priced in
-    bands of rows of ``a``, one tile each, so the temporaries stay small.
-    Every metric reads ``b`` from a joint-major copy, one contiguous column
-    per joint, under the ``_PRICING_BUFFER`` ufunc buffer. Raises
-    ``ValueError`` when the stacks and ``params`` disagree on the number of
-    joints, or when that number is zero.
+    bands of rows of ``a``, one tile each, so the temporaries stay small: no
+    metric holds an array with a joint axis. Every metric reads ``b`` from a
+    joint-major copy, one contiguous column per joint, under the
+    ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks
+    and ``params`` disagree on the number of joints, or when that number is zero.
     """
     a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])

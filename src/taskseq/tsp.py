@@ -116,8 +116,10 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
 def tour_cost(dm: np.ndarray, tour: TourOrder) -> float:
     """Edges in visiting order, plus the closing edge of a closed cycle, by ``ordered_sum``."""
     dm = _square_matrix(dm)
-    order = tour.order
-    edges = [dm.item(order[i], order[i + 1]) for i in range(len(order) - 1)]
+    order, n = tour.order, dm.shape[0]
+    if order and not 0 <= min(order) <= max(order) < n:
+        raise ValueError(f"tour node {next(v for v in order if not 0 <= v < n)} is outside [0, {n})")
+    edges = list(map(dm.item, order, order[1:]))
     if tour.closed and len(order) > 0:
         edges.append(dm.item(order[-1], order[0]))
     return ordered_sum(edges)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_blocks_around_one_tile_match_the_untiled_formula(kind):
     for block, a, b in zip(graph.step_costs, layers, layers[1:]):
         diff = a[:, None, :] - b[None, :, :]
         if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-            expected = np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+            expected = np.sqrt(sum(np.moveaxis(params.weights * diff * diff, -1, 0), 0.0))
         elif kind is MetricKind.MAX_JOINT_DIFFERENCE:
             expected = np.max(np.abs(diff) / params.vel_max, axis=-1)
         else:
@@ -312,6 +313,20 @@ def test_path_cost_adds_its_edges_from_the_start_side():
     graph = cgraph.LayeredGraph(start_costs=np.array([1e16]), step_costs=(np.array([[1.0]]),),
                                 goal_costs=np.array([1.0]), price_calls=0)
     assert path_cost(graph, (0, 0)) == (1e16, (1e16, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("chosen,message", [
+    ((-1, 0, 0), "choice -1 of layer 0 is outside [0, 2)"),  # not read from the end
+    ((0, -3, 0), "choice -3 of layer 1 is outside [0, 3)"),
+    ((2, 0, 0), "choice 2 of layer 0 is outside [0, 2)"),    # not a bare IndexError
+    ((1, 2, 1), "choice 1 of layer 2 is outside [0, 1)"),
+])
+def test_path_cost_refuses_a_choice_outside_its_layer(chosen, message):
+    sets = [IkSolutionSet(t, np.ones((m, 2))) for t, m in enumerate((2, 3, 1))]
+    graph = build_layered_graph(np.zeros(2), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(2))
+    assert path_cost(graph, (1, 2, 0))[0] == 2.0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        path_cost(graph, chosen)
 
 
 @settings(max_examples=200, deadline=None)

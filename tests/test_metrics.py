@@ -20,7 +20,7 @@ from taskseq.metrics import (
     trapezoid_duration_1d,
     weighted_euclidean,
 )
-from taskseq.model import planar_arm
+from taskseq.model import ordered_sum, planar_arm
 
 
 def test_weighted_euclidean_reduces_to_euclidean():
@@ -128,6 +128,32 @@ def test_metric_axioms(kind):
             assert edge_cost(kind, params, a, c) <= dab + edge_cost(kind, params, b, c) + 1e-12
 
 
+_ONE, _STACK_OF_TWO = [0.0, 0.0], [[0.0, 0.0], [3.0, 3.0]]
+
+
+@pytest.mark.parametrize("price", [
+    lambda q, q_to: edge_cost(MetricKind.MAX_JOINT_DIFFERENCE, MetricParams(*[np.ones(2)] * 3), q, q_to),
+    lambda q, q_to: weighted_euclidean(q, q_to, [1.0, 1.0]),
+    lambda q, q_to: max_joint_difference(q, q_to, [1.0, 1.0]),
+    lambda q, q_to: linear_interp_duration(q, q_to, [1.0, 1.0], [1.0, 1.0]),
+])
+def test_scalar_metrics_refuse_a_stack_of_moves(price):
+    # A stack is refused, not priced by its first move alone.
+    assert price([0.0, 0.0], [3.0, 3.0]) > 0.0
+    for q, q_to in [(_STACK_OF_TWO, _ONE), (_ONE, _STACK_OF_TWO), ([[_ONE]], _ONE)]:
+        with pytest.raises(ValueError, match="prices one move"):
+            price(q, q_to)
+
+
+def test_scalar_metrics_take_single_joint_scalars():
+    assert weighted_euclidean(0.0, 3.0, [4.0]) == 6.0
+    assert max_joint_difference(np.float64(1.0), 3.0, [2.0]) == 1.0
+    assert linear_interp_duration(0.0, 4.0, [1.0], [1.0]) == 5.0
+    assert trapezoid_duration_1d(4.0, 1.0, 1.0) == 5.0
+    with pytest.raises(ValueError, match="prices one move"):
+        trapezoid_duration_1d(np.array([1.0, 5.0]), 1.0, 1.0)
+
+
 def test_default_weights_are_distal_reach_sums():
     assert np.allclose(default_weights(planar_arm((1.0, 1.0, 1.0))), [3.0, 2.0, 1.0])
     assert np.allclose(default_weights(planar_arm((2.0, 1.0))), [3.0, 1.0])
@@ -142,7 +168,7 @@ def test_edge_cost_dispatch_matches_direct_calls():
     assert edge_cost(MetricKind.LINEAR_INTERP_DURATION, params, a, b) == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("dof", [3, 8, 24])  # numpy sums 8+ terms pairwise, not in order
+@pytest.mark.parametrize("dof", [3, 8, 24])  # from 8 joints np.sum's pairwise order gives other bits
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_pairwise_kernel_matches_scalar_metric(kind, dof):
     rng = np.random.default_rng(8)
@@ -163,10 +189,11 @@ def test_pairwise_kernel_matches_scalar_metric(kind, dof):
 
 
 def _full_difference_cost(kind, params, a, b):
-    """The pairwise pricing the kernels must reproduce: one (m_a, m_b, dof) difference array."""
+    """The pairwise pricing the kernels must reproduce: one (m_a, m_b, dof) difference array.
+    Weighted squares are added joint by joint from 0.0 (``sum`` adds arrays left to right)."""
     diff = a[:, None, :] - b[None, :, :]
     if kind is MetricKind.WEIGHTED_EUCLIDEAN:
-        return np.sqrt(np.sum(params.weights * diff * diff, axis=-1))
+        return np.sqrt(sum(np.moveaxis(params.weights * diff * diff, -1, 0), 0.0))
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
         return np.max(np.abs(diff) / params.vel_max, axis=-1)
     return np.max(_two_branch(np.abs(diff), params.vel_max, params.acc_max), axis=-1)
@@ -203,7 +230,7 @@ def _priced_stacks(draw, dof):
     return params, stack(), stack()
 
 
-@pytest.mark.parametrize("dof", [1, 3, 6, 8, 24, 130])  # 130: past numpy's 128-term pairwise block
+@pytest.mark.parametrize("dof", [1, 3, 6, 8, 24, 130])  # 130: past a pairwise sum's 128-term block
 @pytest.mark.parametrize("kind", list(MetricKind))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -213,6 +240,39 @@ def test_pairwise_cost_matches_the_full_difference_array(kind, dof, data):
         expected = _full_difference_cost(kind, params, a, b)
         table = pairwise_cost(kind, params, a, b)
     assert np.array_equal(table, expected, equal_nan=True)
+
+
+def _weight_variants(rng, dof):
+    """Weights over 7 decades, then with a zero, a -0.0 and all -0.0 (MetricParams takes both)."""
+    spread = 10.0 ** rng.uniform(-3.0, 4.0, dof)
+    zero, negative_zero = spread.copy(), spread.copy()
+    zero[rng.integers(dof)], negative_zero[rng.integers(dof)] = 0.0, -0.0
+    return [spread, zero, negative_zero, np.full(dof, -0.0)]
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 130])
+def test_weighted_euclidean_keeps_np_sum_bits_below_8_joints_and_adds_in_order_from_8(dof):
+    # Below 8 joints np.sum adds its terms in order from 0.0, so pricing them
+    # joint by joint gives its bits; from 8 np.sum adds pairwise, and the
+    # pricing is the plain left-to-right sum instead.
+    rng = np.random.default_rng(dof)
+    kind = MetricKind.WEIGHTED_EUCLIDEAN
+    rows, cols = (200, 180) if dof < 8 else (6, 7)  # 200 x 180 is priced in two row bands
+    for weights in _weight_variants(rng, dof):
+        params = MetricParams(weights, np.ones(dof), np.ones(dof))
+        a, b = (rng.uniform(-math.pi, math.pi, (m, dof)) for m in (rows, cols))
+        a[0] = b[0]  # a move of zero length
+        table = pairwise_cost(kind, params, a, b)
+        single = np.array([[edge_cost(kind, params, p, q) for q in b[:7]] for p in a[:6]])
+        diff = a[:, None, :] - b[None, :, :]
+        terms = params.weights * diff * diff
+        if dof < 8:
+            expected = np.sqrt(np.sum(terms, axis=-1))
+        else:
+            expected = np.array([[math.sqrt(ordered_sum(t)) for t in row.tolist()] for row in terms])
+        assert np.all(np.isfinite(expected))
+        assert table.tobytes() == expected.tobytes()
+        assert single.tobytes() == expected[:6, :7].tobytes()
 
 
 # Taking the short-move time alone below c, the trapezoid drops across its

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ def test_distance_matrix_equals_the_norm_formula_bit_for_bit(points, scale, depo
         nodes.append([pose.x, pose.y])
     dm = build_task_distance_matrix(task, include_home_depot=depot)
     assert dm.tobytes() == _euclidean_matrix(nodes).tobytes()
+
+
+@pytest.mark.parametrize("order,message", [
+    ((0, -1), "tour node -1 is outside [0, 3)"),  # not read as node 2
+    ((0, 1, -3), "tour node -3 is outside [0, 3)"),
+    ((0, 3), "tour node 3 is outside [0, 3)"),    # not a bare IndexError
+    ((5, -1), "tour node 5 is outside [0, 3)"),
+])
+@pytest.mark.parametrize("kind", list(TourKind))
+def test_tour_cost_refuses_a_node_outside_the_matrix(order, message, kind):
+    dm = _line_matrix([0.0, 1.0, 2.0])
+    assert tour_cost(dm, TourOrder((0, 2), kind)) == (4.0 if kind is TourKind.CLOSED_CYCLE else 2.0)
+    assert tour_cost(dm, TourOrder((), kind)) == 0.0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tour_cost(dm, TourOrder(order, kind))
 
 
 def test_exact_square():
