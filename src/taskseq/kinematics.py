@@ -13,7 +13,10 @@ order the closed-form solution is written, and IEEE ``+ - * /`` round the same
 in numpy as on Python floats. The transcendentals (``acos``, ``atan2``,
 ``sin``, ``cos``) stay in CPython's ``math`` module, mapped over flat lists:
 numpy's SIMD versions of them round differently from libm, which would move
-the last bits of most poses. So each pose has the bits of the scalar formula.
+the last bits of most poses. So each pose has the bits of the scalar formula,
+from five libm calls per row: the elbow-up shoulder angle is the elbow-down one
+negated, as libm's ``sin`` and ``atan2`` (in y) are odd and ``cos`` is even, bit
+for bit; ``test_libm_is_odd_and_even_bit_for_bit`` in the tests pins that.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def _ik_3r_batch(arm: RobotModel, points: np.ndarray, thetas: np.ndarray) -> tup
     the order of ``thetas``, elbow-up before elbow-down) and the number of
     elbow-down poses dropped for lying within DUPLICATE_TOL (max-norm) of their
     elbow-up pose. An orientation whose wrist point misses the 2R annulus by
-    more than REACH_TOL yields nothing.
+    more than REACH_TOL yields nothing. A row takes five libm calls (see the module).
     """
     links = _links(arm)
     if links.size != 3:
@@ -147,9 +150,9 @@ def _ik_3r_batch(arm: RobotModel, points: np.ndarray, thetas: np.ndarray) -> tup
         wx, wy, c2 = wx[owner, column], wy[owner, column], c2[owner, column]
         elbow = _libm(math.acos, np.minimum(1.0, np.maximum(-1.0, c2)))
         wrist = _libm(math.atan2, wy, wx)
-        q2 = np.stack((-elbow, elbow), axis=1)  # elbow-up first
-        shoulder = _libm(math.atan2, l2 * _libm(math.sin, q2), l1 + l2 * _libm(math.cos, q2))
-        q1 = _wrap(wrist[:, None] - shoulder.reshape(q2.shape))
+        shoulder = _libm(math.atan2, l2 * _libm(math.sin, elbow), l1 + l2 * _libm(math.cos, elbow))
+        q2, shoulder = np.multiply.outer((elbow, shoulder), (-1.0, 1.0))  # elbow-up: negated, first
+        q1 = _wrap(wrist[:, None] - shoulder)
         q3 = _wrap(thetas[column][:, None] - q1 - q2)
         poses = np.stack((q1, _wrap(q2), q3), axis=-1)  # (rows, branch, joint)
         twin = (np.abs(poses[:, 1] - poses[:, 0]) <= DUPLICATE_TOL).all(axis=1)
@@ -204,13 +207,14 @@ def theta_grid(step_size: float) -> list:
 def ik_pool(arm: RobotModel, positions, step_size: float, stats: dict | None = None) -> list:
     """Pooled grid solutions of many point targets, one read-only (m, 3) array each.
 
-    ``positions`` is an (n, 2) array-like of finite points; a non-finite one
-    raises ``ValueError``. ``stats``, when given, receives the IK_COUNTERS:
-    2 poses tried per target and orientation, and the elbow-down poses dropped
-    as duplicates of their elbow-up pose.
+    ``positions`` is an (n, 2) array-like of finite points or an empty sequence;
+    a non-finite point raises ``ValueError``. ``stats``, when given, receives the
+    IK_COUNTERS: 2 poses tried per target and orientation, and the elbow-down
+    poses dropped as duplicates of their elbow-up pose.
     """
     thetas = _wrap(np.array(theta_grid(step_size)))
     points = np.asarray(positions, dtype=float)
+    points = points.reshape(0, 2) if points.shape == (0,) else points  # [] has no point axis
     pooled, dropped = _ik_3r_batch(arm, points, thetas)
     if stats is not None:
         stats.update(poses_tried=2 * thetas.size * len(points), poses_dropped=dropped)

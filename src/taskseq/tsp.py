@@ -41,8 +41,8 @@ ROUNDING_SLACK = 2.0**-46
 #: Nearest neighbors per node that 2-opt and Or-opt try as new partners.
 NEIGHBORS = 16
 
-#: Distance-matrix rows handled at once by the neighbor lists and the full
-#: 2-exchange check, so neither builds an n x n temporary.
+#: Distance-matrix rows handled at once by its build, the neighbor lists and the
+#: full 2-exchange check, so none of them builds an n x n temporary.
 ROW_BLOCK = 64
 
 #: Work counters ``solve_2opt`` reports through its ``stats`` argument.
@@ -105,9 +105,12 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
         else:
             depot = points.mean(axis=0)
         points = np.vstack([points, depot])
-    dm, dy = (np.subtract.outer(axis, axis) for axis in points.T)
-    np.add(np.multiply(dm, dm, out=dm), np.multiply(dy, dy, out=dy), out=dm)
-    np.sqrt(dm, out=dm)  # np.linalg.norm's sum of squares, in two (n, n) arrays
+    (x, y), n = points.T, len(points)
+    dm, scratch = np.empty((n, n)), np.empty((min(ROW_BLOCK, n), n))
+    for start in range(0, n, ROW_BLOCK):  # np.linalg.norm's sum of squares, band by band
+        dx = np.subtract.outer(x[start:start + ROW_BLOCK], x, out=dm[start:start + ROW_BLOCK])
+        dy = np.subtract.outer(y[start:start + ROW_BLOCK], y, out=scratch[:len(dx)])
+        np.sqrt(np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx), out=dx)
     if not np.all(np.isfinite(dm)):
         raise ValueError("target distances overflow: positions are too far apart")
     return dm
@@ -244,21 +247,34 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     return TourOrder(orders[min(finite, key=costs.__getitem__)] if finite else range(n))
 
 
+def _nearest(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's k smallest entries, sorted stably by entry, and those entries."""
+    part = np.argpartition(block, k - 1, axis=1)[:, :k]
+    part = np.take_along_axis(part, np.argsort(np.take_along_axis(block, part, axis=1), axis=1,
+                                               kind="stable"), axis=1)
+    return part, np.take_along_axis(block, part, axis=1)
+
+
 def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
     """The k nearest other nodes of every node, nearest first, and their distances.
 
-    Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held. Equal
-    distances keep the order ``argpartition`` leaves them in.
+    Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held. With its own
+    entry ranked as inf, a row whose k + 1 nearest entries strictly increase has one answer;
+    a row with a tie or a NaN there is redone with that entry ranked as NaN (a path about
+    twice as slow), where equal distances keep the order ``argpartition`` leaves them in.
     """
     n = dm.shape[0]
     neighbors = np.empty((n, k), dtype=np.intp)
     for start in range(0, n, ROW_BLOCK):
         block = dm[start:start + ROW_BLOCK].copy()
         rows = np.arange(len(block))
-        block[rows, start + rows] = np.nan  # ranks a node after every distance of its row
-        part = np.argpartition(block, k - 1, axis=1)[:, :k]
-        nearest = np.argsort(np.take_along_axis(block, part, axis=1), axis=1, kind="stable")
-        neighbors[start:start + ROW_BLOCK] = np.take_along_axis(part, nearest, axis=1)
+        block[rows, start + rows] = np.inf
+        part, near = _nearest(block, k + 1)
+        neighbors[start:start + ROW_BLOCK] = part[:, :k]
+        redo = rows[~(near[:, 1:] > near[:, :-1]).all(axis=1)]  # a tie or a NaN
+        if redo.size:
+            block[redo, start + redo] = np.nan
+            neighbors[start + redo] = _nearest(block[redo], k)[0]
     return neighbors.tolist(), dm[np.arange(n)[:, None], neighbors].tolist()
 
 

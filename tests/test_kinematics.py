@@ -485,3 +485,40 @@ def test_a_non_finite_position_is_refused(position):
 def test_a_non_finite_orientation_is_refused():
     with pytest.raises(ValueError, match="finite"):
         ik_3r(ARM, Pose2D(1.0, 0.0, math.nan))
+
+
+@pytest.mark.parametrize("positions", [[], (), np.empty((0, 2))], ids=["list", "tuple", "array"])
+def test_ik_pool_of_no_positions_is_empty(positions):
+    stats = {}
+    assert ik_pool(ARM, positions, math.pi / 4, stats=stats) == []
+    assert stats == {"poses_tried": 0, "poses_dropped": 0}
+
+
+#: Arguments where libm's odd and even symmetry must hold: signed zeros, the smallest
+#: subnormal and normal, tiny angles, pi and its neighbours, and huge arguments.
+_SYMMETRY_ARGS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-8, math.pi / 2, math.pi,
+                  math.nextafter(math.pi, 0.0), math.nextafter(math.pi, 4.0), 1e6, 1e22, 1e300]
+_SYMMETRY_ARGS += [-v for v in _SYMMETRY_ARGS if v]
+
+
+def _assert_odd_and_even(v, x):
+    """sin(-v) = -sin(v), cos(-v) = cos(v) and atan2(-v, x) = -atan2(v, x), compared by hex."""
+    assert math.sin(-v).hex() == (-math.sin(v)).hex()
+    assert math.cos(-v).hex() == math.cos(v).hex()
+    assert math.atan2(-v, x).hex() == (-math.atan2(v, x)).hex()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300,
+                               math.inf, -math.inf])
+def test_libm_is_odd_and_even_bit_for_bit(x):
+    # The IK kernel takes the elbow-up shoulder angle as the negated elbow-down one; that is
+    # the same bits only while sin and atan2 (in y) are odd and cos is even, signed zeros too.
+    for v in _SYMMETRY_ARGS:
+        _assert_odd_and_even(v, x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False),
+       x=st.floats(allow_nan=False, allow_infinity=False))
+def test_libm_is_odd_and_even_on_finite_floats(v, x):
+    _assert_odd_and_even(v, x)

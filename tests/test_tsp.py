@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,38 @@ def test_distance_matrix_equals_the_norm_formula_bit_for_bit(points, scale, depo
         nodes.append([pose.x, pose.y])
     dm = build_task_distance_matrix(task, include_home_depot=depot)
     assert dm.tobytes() == _euclidean_matrix(nodes).tobytes()
+
+
+def _two_array_matrix(points):
+    """The distance formula with one whole (n, n) array per axis."""
+    dx, dy = (np.subtract.outer(axis, axis) for axis in np.asarray(points, dtype=float).T)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+@pytest.mark.parametrize("depot", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 401])
+def test_distance_matrix_in_bands_equals_the_two_array_formula(n, depot):
+    # ROW_BLOCK is 64: one band, exactly one, one plus a row, two, two plus a row, and more.
+    task = generate_random_task(n, 1, seed=n, mode="planar")
+    nodes = [t.position for t in task.targets]
+    if depot:
+        pose = forward_kinematics(task.robot, task.home)
+        nodes.append([pose.x, pose.y])
+    dm = build_task_distance_matrix(task, include_home_depot=depot)
+    assert dm.shape == (len(nodes), len(nodes))
+    assert dm.tobytes() == _two_array_matrix(nodes).tobytes()
+
+
+def test_distance_matrix_holds_one_n_by_n_array():
+    task = generate_random_task(400, 1, seed=1, mode="planar")  # 401 nodes with the depot
+    tracemalloc.start()
+    try:
+        dm = build_task_distance_matrix(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dm.shape == (401, 401)
+    assert peak < 1.5 * dm.nbytes  # two (n, n) arrays would be 2 * n * n * 8 bytes
 
 
 @pytest.mark.parametrize("order,message", [
@@ -325,6 +358,51 @@ def test_2opt_properties_on_grid_collinear_and_duplicate_points(points, data):
     if initial is not None:
         assert tour_cost(dm, tour) <= tour_cost(dm, initial) + 1e-9
     assert solve_2opt(dm, initial) == tour
+
+
+def _neighbor_lists_ranking_self_as_nan(dm, k):
+    """The neighbour lists with every node's own entry ranked as NaN, in one pass per block."""
+    n = dm.shape[0]
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, tsp.ROW_BLOCK):
+        block = dm[start:start + tsp.ROW_BLOCK].copy()
+        rows = np.arange(len(block))
+        block[rows, start + rows] = np.nan
+        part = np.argpartition(block, k - 1, axis=1)[:, :k]
+        nearest = np.argsort(np.take_along_axis(block, part, axis=1), axis=1, kind="stable")
+        neighbors[start:start + tsp.ROW_BLOCK] = np.take_along_axis(part, nearest, axis=1)
+    return neighbors.tolist(), dm[np.arange(n)[:, None], neighbors].tolist()
+
+
+@st.composite
+def _tie_heavy_matrices(draw):
+    """Symmetric distance matrices whose rows tie: grids, copies, and inf or NaN entries."""
+    n = draw(st.sampled_from([63, 64, 65, 129]), label="n")  # around ROW_BLOCK = 64
+    k = draw(st.sampled_from([1, 16, n - 1]), label="k")
+    kind = draw(st.sampled_from(["grid", "duplicates", "uniform"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "grid":  # integer points: equal distances everywhere
+        points = rng.integers(0, draw(st.integers(1, 12), label="side"), (n, 2))
+    elif kind == "duplicates":  # zero distances between copies
+        points = rng.uniform(0.0, 1.0, (draw(st.integers(1, 20), label="distinct"), 2))
+        points = points[rng.integers(0, len(points), n)]
+    else:
+        points = rng.uniform(0.0, 1.0, (n, 2))
+    dm = _euclidean_matrix(points)
+    for value in (np.inf, np.nan):
+        i, j = rng.integers(0, n, (2, draw(st.sampled_from([0, 1, 5, 3 * n]), label=str(value))))
+        dm[i, j] = dm[j, i] = value
+    return dm, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tie_heavy_matrices())
+def test_neighbor_lists_keep_the_order_of_the_nan_ranked_selection(case):
+    dm, k = case
+    neighbors, near = tsp._neighbor_lists(dm, k)
+    want_neighbors, want_near = _neighbor_lists_ranking_self_as_nan(dm, k)
+    assert neighbors == want_neighbors
+    assert repr(near) == repr(want_near)
 
 
 def test_2opt_at_2001_points_is_2opt_optimal_and_beats_its_seed():
