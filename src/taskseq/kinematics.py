@@ -66,7 +66,8 @@ class Pose2D:
 
 @dataclass(frozen=True)
 class IkSolutionSet:
-    """One target's deduplicated configurations, as a read-only float (m, dof) array."""
+    """One target's configurations, as a read-only float (m, dof) array, kept as
+    given: an explicit list keeps its duplicates (planar IK drops its own)."""
 
     target_id: int
     solutions: np.ndarray

@@ -59,7 +59,8 @@ BENCHMARK_FIELDS = (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the pipeline: tour solver, edge metric, orientation grid, depot."""
+    """Knobs of the pipeline: tour solver, edge metric, orientation grid, start
+    nodes of the ``rnn`` solver, depot."""
 
     tsp_solver: SolverKind = SolverKind.TWO_OPT
     metric: MetricKind = MetricKind.MAX_JOINT_DIFFERENCE
@@ -169,11 +170,12 @@ def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]
 
 def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tuple[TourOrder, TourOrder]:
     """``(cycle, visiting order)`` by the configured solver over ``dm``, whose last
-    node is home when the depot is on; 2-opt writes its counters into ``work``."""
+    node is home when the depot is on; 2-opt improves the nearest-neighbour tour
+    from node 0 and writes its counters into ``work``."""
     if config.tsp_solver is SolverKind.EXACT:
         cycle = tsp.solve_exact(dm)
     elif config.tsp_solver is SolverKind.TWO_OPT:
-        cycle = tsp.solve_2opt(dm, stats=work)
+        cycle = tsp.solve_2opt(dm, tsp.solve_rnn(dm, 1), stats=work)
     else:
         cycle = tsp.solve_rnn(dm, min(config.rnn_restarts, dm.shape[0]))
     if config.include_home_depot:
@@ -188,16 +190,14 @@ def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: boo
     return tsp.tour_cost(dm, TourOrder(nodes, TourKind.CLOSED_CYCLE))
 
 
-def _decoupled_plan(task, config, params, ik_sets, work, lap):
+def _decoupled_plan(task, config, params, ik_sets, work):
     """Step 1 of the paper's method: the task-space tour; step 2 then selects freely."""
     dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
     cycle, order = _tour(dm, task, config, work)
-    step1_cost = tsp.tour_cost(dm, cycle)
-    lap()
-    return order, step1_cost, None
+    return order, tsp.tour_cost(dm, cycle), None
 
 
-def _frozen_tour_plan(task, config, params, ik_sets, work, lap):
+def _frozen_tour_plan(task, config, params, ik_sets, work):
     """Freeze the best-manipulability configuration per target, then tour the
     frozen configurations under the configured metric (home as a depot node)."""
     fixed = manipulability_choice(task, ik_sets)
@@ -206,13 +206,12 @@ def _frozen_tour_plan(task, config, params, ik_sets, work, lap):
         nodes.append(task.home)
     _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), task, config, work)
     step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    lap()
     return order, step1_cost, tuple(fixed[t] for t in order.order)
 
 
-def _joint_plan(task, config, params, ik_sets, work, lap):
-    """No step 1: the guard and the subset DP over every order and configuration
-    are one indivisible step 2."""
+def _joint_plan(task, config, params, ik_sets, work):
+    """Step 1 of the joint optimum: the guard, then the subset DP over every order
+    and configuration; step 2 only prices the walk in the graph of its order."""
     sizes = [s.count for s in ik_sets]
     moves = (1 << task.n) * sum(sizes) ** 2
     if moves > GTSP_GUARD_MOVES:
@@ -239,26 +238,24 @@ _METHODS = {_decoupled_plan: "decoupled", _frozen_tour_plan: "cspace_tsp", _join
 def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     """Run one method: IK, its step-1 ``plan``, the selection (step 2), the schedule (step 3).
 
-    ``plan(task, config, params, ik_sets, work, lap)`` returns ``(order,
-    step1_cost, chosen)`` and calls ``lap()`` where its step 1 ends (a plan
-    that never calls it has no step 1). Step 2 takes the shortest selection
-    in the layered graph of ``order``, or prices ``chosen`` there when it is
-    not None. ``work`` holds the IK and tour counters; the tour counters stay
-    zero unless the plan runs 2-opt.
+    ``plan(task, config, params, ik_sets, work)`` is step 1: it returns
+    ``(order, step1_cost, chosen)``, and step 1's clock stops when it returns.
+    Step 2 takes the shortest selection in the layered graph of ``order``, or
+    prices ``chosen`` there when it is not None. ``work`` holds the IK and tour
+    counters; the tour counters stay zero unless the plan runs 2-opt. A task
+    with no targets is refused before IK.
     """
+    if not task.targets:
+        raise ValueError("task must contain at least one target")
     config = config or PipelineConfig()
     params = MetricParams.from_robot(task.robot)
     work: dict = {}
     start = time.perf_counter()
     ik_sets = resolve_ik_sets(task, config.step_size, stats=work)
-    ik_end = step1_end = time.perf_counter()
+    ik_end = time.perf_counter()
     work.update(dict.fromkeys(tsp.TOUR_COUNTERS, 0))
-
-    def lap():
-        nonlocal step1_end
-        step1_end = time.perf_counter()
-
-    order, step1_cost, chosen = plan(task, config, params, ik_sets, work, lap)
+    order, step1_cost, chosen = plan(task, config, params, ik_sets, work)
+    step1_end = time.perf_counter()
     ordered = [ik_sets[t] for t in order.order]
     graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
     if chosen is None:

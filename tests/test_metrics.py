@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 
@@ -240,6 +241,34 @@ def test_pairwise_cost_matches_the_full_difference_array(kind, dof, data):
         expected = _full_difference_cost(kind, params, a, b)
         table = pairwise_cost(kind, params, a, b)
     assert np.array_equal(table, expected, equal_nan=True)
+
+
+@st.composite
+def _swappable_stacks(draw):
+    """Weights and limits over six decades; entries anywhere, of +-0.0, or of +-c = vmax^2/amax,
+    so a move against a zero entry lies exactly on a joint's profile boundary."""
+    dof = draw(st.integers(1, 9))
+    limits = arrays(float, dof, elements=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    params = MetricParams(weights=draw(limits), vel_max=draw(limits), acc_max=draw(limits))
+    boundary = params.vel_max * params.vel_max / params.acc_max
+
+    def stack():
+        shape = (draw(st.integers(1, 12)), dof)
+        plain = draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+        factors = draw(arrays(float, shape, elements=st.sampled_from([0.0, -0.0, 1.0, -1.0])))
+        return np.where(draw(arrays(bool, shape)), factors * boundary, plain)
+
+    return params, stack(), stack()
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+@settings(max_examples=60, deadline=None)
+@given(drawn=_swappable_stacks())
+def test_every_metric_prices_a_move_and_its_reverse_bit_for_bit_alike(kind, drawn):
+    params, a, b = drawn
+    assert pairwise_cost(kind, params, a, b).tobytes() == pairwise_cost(kind, params, b, a).T.tobytes()
+    for q, r in itertools.product(a[:3], b[:3]):
+        assert edge_cost(kind, params, q, r).hex() == edge_cost(kind, params, r, q).hex()
 
 
 def _weight_variants(rng, dof):

@@ -2,12 +2,14 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from taskseq import tsp
 from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
 from taskseq.cli import task_from_dict
 from taskseq.kinematics import IkSolutionSet, Pose2D, forward_kinematics, ik_3r, ik_pool
@@ -225,7 +227,28 @@ def test_runners_report_the_same_timings_and_counts():
         ("n", "total_ik", "edges", "vertices", "step_cost_bytes", "price_calls", "poses_tried",
          "poses_dropped", "two_opt_moves", "or_opt_moves", "check_rounds")
     }
-    assert results[2].timings["step1_ms"] == 0.0
+    assert results[2].timings["step1_ms"] > 0.0  # the joint optimum's search is its step 1
+
+
+@pytest.mark.parametrize("depot", [True, False])
+@pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])
+def test_every_method_refuses_a_task_without_targets(runner, depot):
+    # A Task built in Python skips validate_task, which refuses it in the same words.
+    task = Task(robot=planar_arm(), home=np.zeros(3), targets=())
+    with pytest.raises(ValueError, match="^task must contain at least one target$"):
+        runner(task, PipelineConfig(include_home_depot=depot))
+
+
+def test_the_pipeline_seeds_2opt_with_one_nearest_neighbour_tour(monkeypatch):
+    calls, solve_rnn = [], tsp.solve_rnn
+
+    def spy(dm, restarts):
+        calls.append((sys._getframe(1).f_globals["__name__"], restarts))
+        return solve_rnn(dm, restarts)
+
+    monkeypatch.setattr(tsp, "solve_rnn", spy)
+    solve_sequence(generate_random_task(12, 1, seed=3, mode="planar"), COARSE)
+    assert calls == [("taskseq.pipeline", 1)]
 
 
 @pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])

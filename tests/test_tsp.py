@@ -503,6 +503,15 @@ def test_2opt_orders_and_counters_are_pinned(name):
     assert (_pinned_form(order), tuple(stats[c] for c in TOUR_COUNTERS)) == _PINNED[name]
 
 
+@pytest.mark.parametrize("name", ["n5", "n7", "grid-6x6", "duplicates", "inf-edges", "tour-large-1"])
+def test_2opt_from_the_one_start_nearest_neighbour_tour_is_its_default(name):
+    dm, initial = _PINNED_CASES[name]()
+    assert initial is None
+    seeded, default = {}, {}
+    assert solve_2opt(dm, solve_rnn(dm, 1), stats=seeded) == solve_2opt(dm, stats=default)
+    assert seeded == default
+
+
 def test_rnn_on_a_line():
     dm = _line_matrix([0.0, 1.0, 3.0, 7.0])
     tour = solve_rnn(dm, 1)
