@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,22 @@ BRUTE_FORCE_GUARD = 10**6
 
 @dataclass(frozen=True)
 class LayeredGraph:
-    """Start/Goal vertices plus one configuration layer per target, fully priced."""
+    """Start/Goal vertices plus one configuration layer per target.
+
+    ``step_costs`` is a tuple of blocks, or, from :func:`build_layered_graph`,
+    a :class:`StepBlocks` that prices them when read. The counts below come
+    from the layer sizes alone and price nothing.
+    """
 
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
-    step_costs: tuple[np.ndarray, ...]      # (m_i, m_{i+1}) between layers
+    step_costs: Sequence[np.ndarray]        # (m_i, m_{i+1}) between layers
     goal_costs: np.ndarray                  # (m_n,) last layer -> Goal
-    price_calls: int                        # pairwise_cost calls that priced it
+    price_calls: int                        # pairwise_cost calls that price it
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
+        if isinstance(self.step_costs, StepBlocks):
+            return self.step_costs.sizes
         return (self.start_costs.size, *(block.shape[1] for block in self.step_costs))
 
     @property
@@ -48,13 +56,13 @@ class LayeredGraph:
     def edge_count(self) -> int:
         """m_1 + sum_i m_i * m_{i+1} + m_n."""
         sizes = self.layer_sizes
-        between = sum(sizes[i] * sizes[i + 1] for i in range(len(sizes) - 1))
-        return sizes[0] + between + sizes[-1]
+        return sizes[0] + _step_entries(sizes) + sizes[-1]
 
     @property
     def step_cost_bytes(self) -> int:
-        """Bytes held by the (m_i, m_{i+1}) blocks between consecutive layers."""
-        return sum(block.nbytes for block in self.step_costs)
+        """Bytes of all float64 (m_i, m_{i+1}) step blocks together, not bytes
+        held at once: a sweep holds one run of blocks at a time."""
+        return np.dtype(float).itemsize * _step_entries(self.layer_sizes)
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,52 @@ def _price_runs(sizes) -> list[tuple[int, int]]:
     return runs
 
 
+def _step_entries(sizes) -> int:
+    """sum_i m_i * m_{i+1}: the entries of all step blocks."""
+    return sum(a * b for a, b in zip(sizes, sizes[1:]))
+
+
+class StepBlocks(Sequence):
+    """The step blocks of a graph's layers, priced by :func:`pairwise_cost` when read.
+
+    Each run of :func:`_price_runs` is one call. Indexing or forward iteration
+    prices every run once, in order, and keeps the blocks; ``reversed()``
+    prices the runs last-first and keeps none, so a backward sweep holds one
+    run at a time. A run of small blocks between layers of equal size goes in
+    as stacked (k, m, dof) layers, and its (k, m, m) result is read as k
+    views; a block wider than a tile is a run of its own, which
+    ``pairwise_cost`` prices in row bands.
+    """
+
+    def __init__(self, layers, kind: MetricKind, params: MetricParams):
+        self.layers, self.kind, self.params = layers, kind, params
+        self.sizes = tuple(len(layer) for layer in layers)
+        self.runs = _price_runs(self.sizes)
+        self._kept: tuple[np.ndarray, ...] | None = None
+
+    def _price(self, first: int, stop: int):
+        if stop - first == 1:
+            return (pairwise_cost(self.kind, self.params, self.layers[first], self.layers[stop]),)
+        run = np.stack(self.layers[first:stop + 1])
+        return pairwise_cost(self.kind, self.params, run[:-1], run[1:])
+
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        if self._kept is None:
+            self._kept = tuple(block for run in self.runs for block in self._price(*run))
+        return self._kept
+
+    def __len__(self) -> int:
+        return len(self.sizes) - 1
+
+    def __getitem__(self, index):
+        return self._blocks()[index]
+
+    def __reversed__(self):
+        if self._kept is not None:
+            return reversed(self._kept)
+        return (block for run in reversed(self.runs) for block in self._price(*run)[::-1])
+
+
 def build_layered_graph(
     home: Configuration,
     ordered_ik: list[IkSolutionSet],
@@ -93,13 +147,12 @@ def build_layered_graph(
     """Assemble the graph for targets already in visiting order.
 
     ``ordered_ik`` is a sequence of :class:`IkSolutionSet`; every set must be
-    non-empty, and its (m, dof) array is the layer. Every edge cost is
-    evaluated here, under the selected metric, in tiles of about
-    ``TILE_ENTRIES`` entries: one :func:`pairwise_cost` call prices the Start
-    edges, one the Goal edges, and one each run of step blocks. A run of
-    small blocks between layers of equal size goes in as stacked (k, m, dof)
-    layers, and its (k, m, m) result is held as k views; a block wider than a
-    tile is a run of its own, which ``pairwise_cost`` prices in row bands.
+    non-empty, and its (m, dof) array is the layer. Only the Start and Goal
+    edges are priced here, one :func:`pairwise_cost` call each, under the
+    selected metric; the step blocks are a :class:`StepBlocks` over the
+    layers, priced in tiles of about ``TILE_ENTRIES`` entries when read.
+    ``price_calls`` counts the two calls made here and the one per run that
+    reading the blocks makes.
     """
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
@@ -107,20 +160,12 @@ def build_layered_graph(
         if entry.count == 0:
             raise ValueError(f"target {entry.target_id} has an empty solution set")
     layers = [entry.solutions for entry in ordered_ik]
-    start_costs = pairwise_cost(kind, params, home, layers[0])[0]
-    step_costs = []
-    runs = _price_runs([len(layer) for layer in layers])
-    for first, stop in runs:
-        if stop - first == 1:
-            step_costs.append(pairwise_cost(kind, params, layers[first], layers[stop]))
-        else:
-            run = np.stack(layers[first:stop + 1])
-            step_costs.extend(pairwise_cost(kind, params, run[:-1], run[1:]))
+    step_costs = StepBlocks(layers, kind, params)
     return LayeredGraph(
-        start_costs=start_costs,
-        step_costs=tuple(step_costs),
+        start_costs=pairwise_cost(kind, params, home, layers[0])[0],
+        step_costs=step_costs,
         goal_costs=pairwise_cost(kind, params, layers[-1], home)[:, 0],
-        price_calls=len(runs) + 2,
+        price_calls=len(step_costs.runs) + 2,
     )
 
 
@@ -142,26 +187,37 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     """Optimal configuration choice per target for the graph's fixed order.
 
-    The graph is layered and acyclic, so one backward sweep computes every
-    vertex's cost-to-Goal and records its lowest-index successor on a minimal
-    path; a forward walk from the lowest-index best first vertex follows them,
-    so the selection is the lexicographically smallest of all optima. The
-    returned costs are re-accumulated from the Start side, arithmetically
-    identical to :func:`path_cost` on the same choice.
+    The graph is layered and acyclic, so one backward sweep over
+    ``reversed(graph.step_costs)`` computes every vertex's cost-to-Goal and
+    records, per layer, each vertex's lowest-index successor on a minimal
+    path and that edge's cost. A graph from :func:`build_layered_graph`
+    prices each run of blocks as the sweep reaches it and drops it after. A
+    forward walk from the lowest-index best first vertex follows the
+    successors, so the selection is the lexicographically smallest of all
+    optima; its edge costs are added from the Start side, arithmetically
+    identical to :func:`path_cost` on the same choice, and no block is read
+    twice.
     """
-    successors, suffix = [], graph.goal_costs
+    successors, edge_costs, suffix, aranges = [], [], graph.goal_costs, {}
     for block in reversed(graph.step_costs):
         scores = block + suffix
+        rows = aranges.get(len(scores))
+        if rows is None:
+            rows = aranges[len(scores)] = np.arange(len(scores))
         successors.append(scores.argmin(axis=1))
-        suffix = scores[np.arange(len(scores)), successors[-1]]
-        del scores  # only one (m_i, m_{i+1}) temporary is live at a time
+        suffix = scores[rows, successors[-1]]
+        edge_costs.append(block[rows, successors[-1]])
+        del block, scores  # only one run and one (m_i, m_{i+1}) temporary are live at a time
 
     chosen = [int(np.argmin(graph.start_costs + suffix))]
-    for successor in reversed(successors):
+    edges = [float(graph.start_costs[chosen[0]])]
+    for successor, cost in zip(reversed(successors), reversed(edge_costs)):
+        edges.append(float(cost[chosen[-1]]))
         chosen.append(int(successor[chosen[-1]]))
-
-    total, edges = path_cost(graph, chosen)
-    return SelectionResult(chosen=tuple(chosen), total_cost=total, per_edge_costs=edges)
+    edges.append(float(graph.goal_costs[chosen[-1]]))
+    return SelectionResult(
+        chosen=tuple(chosen), total_cost=ordered_sum(edges), per_edge_costs=tuple(edges)
+    )
 
 
 def brute_force_selection(

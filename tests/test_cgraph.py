@@ -244,11 +244,36 @@ def test_tiled_pricing_equals_edge_cost_byte_for_byte(drawn):
         patch.setattr(cgraph, "TILE_ENTRIES", tile)
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(home, sets, kind, params)
+        assert len(calls) == 2  # the Start and Goal edges; the step blocks are priced when read
+        tuple(graph.step_costs)
         assert graph.price_calls == len(calls)
     for _, _, a, b in calls:  # every stacked call stays within one tile
         if np.ndim(a) == 3:
             assert len(a) * a.shape[1] * b.shape[1] <= tile
     _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params)
+
+
+def _bits(selection):
+    return selection.chosen, np.array([selection.total_cost, *selection.per_edge_costs]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_tiled_graphs())
+def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
+    tile, kind, params, home, layers = drawn
+    sets = [IkSolutionSet(t, layer) for t, layer in enumerate(layers)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "TILE_ENTRIES", tile)
+        patch.setattr(cgraph, "TILE_ENTRIES", tile)
+        patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
+        graph = build_layered_graph(home, sets, kind, params)
+        swept = shortest_selection(graph)
+        assert len(calls) == graph.price_calls  # each run priced once
+        kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
+        assert len(calls) == 2 * graph.price_calls - 2  # the sweep kept no run for this read
+    assert _bits(swept) == _bits(shortest_selection(kept))
+    assert swept.total_cost == path_cost(kept, swept.chosen)[0]
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
@@ -286,8 +311,10 @@ def test_equal_size_layers_are_priced_in_few_calls():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(np.zeros(3), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(3))
+        assert len(calls) == 2  # the Start and Goal edges; the step blocks are priced when read
+        tuple(graph.step_costs)
     assert graph.price_calls == len(calls) == 6
-    assert [len(np.atleast_2d(a)) for _, _, a, _ in calls] == [1, 128, 128, 128, 15, 16]
+    assert [len(np.atleast_2d(a)) for _, _, a, _ in calls] == [1, 16, 128, 128, 128, 15]
 
 
 @st.composite

@@ -210,6 +210,10 @@ def test_configuration_sets_are_read_only_arrays():
         with pytest.raises(ValueError, match="read-only"):
             stored[0, 0] = 1.0
     assert rows.flags.writeable  # the caller's array is copied, not frozen
+    assert IkSolutionSet(1, entry.solutions).solutions is entry.solutions
+    frozen32 = np.array(rows, dtype=np.float32)
+    frozen32.flags.writeable = False
+    assert IkSolutionSet(2, frozen32).solutions.dtype == float
 
 
 def test_scalar_rows_are_one_entry_configurations():

@@ -412,6 +412,19 @@ def test_gtsp_guards():
     assert peak < 1 << 20  # refused before anything is priced
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_wide_selection_holds_a_fraction_of_its_step_blocks(seed):
+    # 60 targets of up to 400 configurations: 12.6-22.2 MB of step blocks in all.
+    task = generate_random_task(60, 400, seed, "explicit_ik")
+    tracemalloc.start()
+    try:
+        result = solve_sequence(task, PipelineConfig(metric=MetricKind.LINEAR_INTERP_DURATION))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < result.counts["step_cost_bytes"] / 4
+
+
 def _joint_by_every_order(task, config):
     """Minimum over every order of the optimal selection for that order."""
     params = MetricParams.from_robot(task.robot)
