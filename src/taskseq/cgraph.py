@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kinematics import IkSolutionSet
 from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
-from .model import Configuration, GuardError, ordered_sum
+from .model import Configuration, GuardError, index_tuple, ordered_sum
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
 BRUTE_FORCE_GUARD = 10**6
@@ -31,13 +30,13 @@ BRUTE_FORCE_GUARD = 10**6
 class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target.
 
-    ``step_costs`` is a tuple of blocks, or, from :func:`build_layered_graph`,
-    a :class:`StepBlocks` that prices them when read. The counts below come
-    from the layer sizes alone and price nothing.
+    ``step_costs``, a :class:`StepBlocks` from :func:`build_layered_graph` or a
+    tuple (the tests' hand-made graphs), is read by ``len()`` and iteration
+    both ways. The counts below come from the layer sizes alone and price nothing.
     """
 
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
-    step_costs: Sequence[np.ndarray]        # (m_i, m_{i+1}) between layers
+    step_costs: tuple[np.ndarray, ...] | StepBlocks  # (m_i, m_{i+1}) between layers
     goal_costs: np.ndarray                  # (m_n,) last layer -> Goal
     price_calls: int                        # pairwise_cost calls that price it
 
@@ -61,7 +60,7 @@ class LayeredGraph:
     @property
     def step_cost_bytes(self) -> int:
         """Bytes of all float64 (m_i, m_{i+1}) step blocks together, not bytes
-        held at once: a sweep holds one run of blocks at a time."""
+        held at once: every reader holds one run of blocks at a time."""
         return np.dtype(float).itemsize * _step_entries(self.layer_sizes)
 
 
@@ -97,23 +96,21 @@ def _step_entries(sizes) -> int:
     return sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
-class StepBlocks(Sequence):
+class StepBlocks:
     """The step blocks of a graph's layers, priced by :func:`pairwise_cost` when read.
 
-    Each run of :func:`_price_runs` is one call. Indexing or forward iteration
-    prices every run once, in order, and keeps the blocks; ``reversed()``
-    prices the runs last-first and keeps none, so a backward sweep holds one
-    run at a time. A run of small blocks between layers of equal size goes in
-    as stacked (k, m, dof) layers, and its (k, m, m) result is read as k
-    views; a block wider than a tile is a run of its own, which
-    ``pairwise_cost`` prices in row bands.
+    Each run of :func:`_price_runs` is one call. Iteration prices the runs in
+    order and ``reversed()`` last-first, each as the reader reaches it; none
+    is kept, so every read prices anew. A run of small blocks between layers
+    of equal size goes in as stacked (k, m, dof) layers, and its (k, m, m)
+    result is read as k views; a block wider than a tile is a run of its own,
+    which ``pairwise_cost`` prices in row bands.
     """
 
     def __init__(self, layers, kind: MetricKind, params: MetricParams):
         self.layers, self.kind, self.params = layers, kind, params
         self.sizes = tuple(len(layer) for layer in layers)
         self.runs = _price_runs(self.sizes)
-        self._kept: tuple[np.ndarray, ...] | None = None
 
     def _price(self, first: int, stop: int):
         if stop - first == 1:
@@ -121,20 +118,13 @@ class StepBlocks(Sequence):
         run = np.stack(self.layers[first:stop + 1])
         return pairwise_cost(self.kind, self.params, run[:-1], run[1:])
 
-    def _blocks(self) -> tuple[np.ndarray, ...]:
-        if self._kept is None:
-            self._kept = tuple(block for run in self.runs for block in self._price(*run))
-        return self._kept
-
     def __len__(self) -> int:
         return len(self.sizes) - 1
 
-    def __getitem__(self, index):
-        return self._blocks()[index]
+    def __iter__(self):
+        return (block for run in self.runs for block in self._price(*run))
 
     def __reversed__(self):
-        if self._kept is not None:
-            return reversed(self._kept)
         return (block for run in reversed(self.runs) for block in self._price(*run)[::-1])
 
 
@@ -152,7 +142,7 @@ def build_layered_graph(
     selected metric; the step blocks are a :class:`StepBlocks` over the
     layers, priced in tiles of about ``TILE_ENTRIES`` entries when read.
     ``price_calls`` counts the two calls made here and the one per run that
-    reading the blocks makes.
+    one read of the blocks makes.
     """
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
@@ -169,19 +159,26 @@ def build_layered_graph(
     )
 
 
+def _path_sum(graph: LayeredGraph, chosen, steps) -> tuple[float, tuple[float, ...]]:
+    """The Start edge of ``chosen``, its ``steps`` and its Goal edge, added by ``ordered_sum``."""
+    edges = (float(graph.start_costs[chosen[0]]), *map(float, steps), float(graph.goal_costs[chosen[-1]]))
+    return ordered_sum(edges), edges
+
+
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
-    """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``."""
-    chosen, sizes = tuple(map(int, chosen)), graph.layer_sizes
+    """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``.
+
+    It reads ``graph.step_costs`` once, forward. ``ValueError`` refuses a choice that
+    is not an integer (a float, 2.0 too, or a string), the wrong number of choices
+    and a choice outside its layer.
+    """
+    chosen, sizes = index_tuple(chosen, "choice"), graph.layer_sizes
     if len(chosen) != len(sizes):
         raise ValueError(f"expected {len(sizes)} choices, got {len(chosen)}")
     for layer, (c, m) in enumerate(zip(chosen, sizes)):
         if not 0 <= c < m:
             raise ValueError(f"choice {c} of layer {layer} is outside [0, {m})")
-    edges = [float(graph.start_costs[chosen[0]])]
-    for i in range(len(chosen) - 1):
-        edges.append(float(graph.step_costs[i][chosen[i], chosen[i + 1]]))
-    edges.append(float(graph.goal_costs[chosen[-1]]))
-    return ordered_sum(edges), tuple(edges)
+    return _path_sum(graph, chosen, (b[i, j] for b, i, j in zip(graph.step_costs, chosen, chosen[1:])))
 
 
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
@@ -190,13 +187,10 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     The graph is layered and acyclic, so one backward sweep over
     ``reversed(graph.step_costs)`` computes every vertex's cost-to-Goal and
     records, per layer, each vertex's lowest-index successor on a minimal
-    path and that edge's cost. A graph from :func:`build_layered_graph`
-    prices each run of blocks as the sweep reaches it and drops it after. A
-    forward walk from the lowest-index best first vertex follows the
-    successors, so the selection is the lexicographically smallest of all
-    optima; its edge costs are added from the Start side, arithmetically
-    identical to :func:`path_cost` on the same choice, and no block is read
-    twice.
+    path and that edge's cost. A forward walk from the lowest-index best
+    first vertex follows the successors, so the selection is the
+    lexicographically smallest of all optima; its recorded edge costs are
+    added as :func:`path_cost` adds them, so no block is read twice.
     """
     successors, edge_costs, suffix, aranges = [], [], graph.goal_costs, {}
     for block in reversed(graph.step_costs):
@@ -209,15 +203,11 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
         edge_costs.append(block[rows, successors[-1]])
         del block, scores  # only one run and one (m_i, m_{i+1}) temporary are live at a time
 
-    chosen = [int(np.argmin(graph.start_costs + suffix))]
-    edges = [float(graph.start_costs[chosen[0]])]
+    chosen, steps = [int(np.argmin(graph.start_costs + suffix))], []
     for successor, cost in zip(reversed(successors), reversed(edge_costs)):
-        edges.append(float(cost[chosen[-1]]))
+        steps.append(cost[chosen[-1]])
         chosen.append(int(successor[chosen[-1]]))
-    edges.append(float(graph.goal_costs[chosen[-1]]))
-    return SelectionResult(
-        chosen=tuple(chosen), total_cost=ordered_sum(edges), per_edge_costs=tuple(edges)
-    )
+    return SelectionResult(tuple(chosen), *_path_sum(graph, chosen, steps))
 
 
 def brute_force_selection(
@@ -231,16 +221,14 @@ def brute_force_selection(
     Enumerates the full product of layer choices in lexicographic order,
     keeping the first strict minimum, so ties resolve exactly as in
     :func:`shortest_selection`. Guarded: the product of layer sizes must not
-    exceed ``BRUTE_FORCE_GUARD``.
+    exceed ``BRUTE_FORCE_GUARD``; within it, the blocks are read once, into a tuple.
     """
     graph = build_layered_graph(home, ordered_ik, kind, params)
     sizes = graph.layer_sizes
     combinations = math.prod(sizes)
     if combinations > BRUTE_FORCE_GUARD:
-        raise GuardError(
-            f"selection oracle guard: {combinations} combinations exceed "
-            f"{BRUTE_FORCE_GUARD}"
-        )
+        raise GuardError(f"selection oracle guard: {combinations} combinations exceed {BRUTE_FORCE_GUARD}")
+    graph = replace(graph, step_costs=tuple(graph.step_costs))
     best_total = np.inf
     best: SelectionResult | None = None
     for chosen in itertools.product(*(range(m) for m in sizes)):

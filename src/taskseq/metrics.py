@@ -30,7 +30,7 @@ from .model import Configuration, RobotModel
 #: Entries priced per numpy pass: small enough that a tile's temporaries stay
 #: in cache, large enough that the per-call overhead of numpy is paid rarely.
 #: Wider blocks are priced in row bands; runs of smaller equal-size graph
-#: blocks are stacked up to it (see :func:`taskseq.cgraph.build_layered_graph`).
+#: blocks are stacked up to it (see ``cgraph._price_runs`` and :class:`~taskseq.cgraph.StepBlocks`).
 TILE_ENTRIES = 1 << 15
 
 #: numpy's ufunc buffer, in elements, while :func:`pairwise_cost` prices a

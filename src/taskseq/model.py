@@ -9,6 +9,7 @@ All types are immutable value data; every operation here is pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,16 @@ def ordered_sum(values) -> float:
     for value in values:
         total += value
     return float(total)
+
+
+def index_tuple(values, what: str) -> tuple[int, ...]:
+    """``values`` by ``operator.index`` (numpy ints pass); ``ValueError`` names a float or a string."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
 
 
 class GuardError(RuntimeError):

@@ -261,8 +261,7 @@ def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     if chosen is None:
         selection = cgraph.shortest_selection(graph)
     else:
-        total, edges = cgraph.path_cost(graph, chosen)
-        selection = cgraph.SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)
+        selection = cgraph.SelectionResult(chosen, *cgraph.path_cost(graph, chosen))
     step2_end = time.perf_counter()
 
     configurations = [entry.solutions[c] for entry, c in zip(ordered, selection.chosen)]

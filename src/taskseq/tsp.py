@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .kinematics import forward_kinematics
-from .model import GuardError, Task, ordered_sum
+from .model import GuardError, Task, index_tuple, ordered_sum
 
 #: Node-count guard for the exact dynamic program (memory and time grow as 2^n).
 EXACT_GUARD = 20
@@ -68,7 +68,7 @@ class TourOrder:
     kind: TourKind = TourKind.CLOSED_CYCLE
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(v) for v in self.order))
+        object.__setattr__(self, "order", index_tuple(self.order, "tour node"))
 
     @property
     def closed(self) -> bool:

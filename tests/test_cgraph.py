@@ -245,12 +245,12 @@ def test_tiled_pricing_equals_edge_cost_byte_for_byte(drawn):
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(home, sets, kind, params)
         assert len(calls) == 2  # the Start and Goal edges; the step blocks are priced when read
-        tuple(graph.step_costs)
+        kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
         assert graph.price_calls == len(calls)
     for _, _, a, b in calls:  # every stacked call stays within one tile
         if np.ndim(a) == 3:
             assert len(a) * a.shape[1] * b.shape[1] <= tile
-    _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params)
+    _assert_graph_is_priced_pair_by_pair(kept, home, layers, kind, params)  # read at the small tile
 
 
 def _bits(selection):
@@ -272,7 +272,10 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
         assert len(calls) == graph.price_calls  # each run priced once
         kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
         assert len(calls) == 2 * graph.price_calls - 2  # the sweep kept no run for this read
+        total, edges = path_cost(graph, swept.chosen)
+        assert len(calls) == 3 * graph.price_calls - 4  # path_cost priced every run again
     assert _bits(swept) == _bits(shortest_selection(kept))
+    assert _bits(swept) == _bits(cgraph.SelectionResult(swept.chosen, total, edges))
     assert swept.total_cost == path_cost(kept, swept.chosen)[0]
 
 
@@ -347,11 +350,14 @@ def test_path_cost_adds_its_edges_from_the_start_side():
     ((0, -3, 0), "choice -3 of layer 1 is outside [0, 3)"),
     ((2, 0, 0), "choice 2 of layer 0 is outside [0, 2)"),    # not a bare IndexError
     ((1, 2, 1), "choice 1 of layer 2 is outside [0, 1)"),
+    ((0.7, 1.9, 0), "choice 0.7 is not an integer"),          # not truncated to (0, 1, 0)
+    ((1, 2.0, 0), "choice 2.0 is not an integer"),
+    (("1", "0", "0"), "choice '1' is not an integer"),
 ])
 def test_path_cost_refuses_a_choice_outside_its_layer(chosen, message):
     sets = [IkSolutionSet(t, np.ones((m, 2))) for t, m in enumerate((2, 3, 1))]
     graph = build_layered_graph(np.zeros(2), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(2))
-    assert path_cost(graph, (1, 2, 0))[0] == 2.0
+    assert path_cost(graph, (1, 2, 0))[0] == path_cost(graph, np.array([1, 2, 0]))[0] == 2.0
     with pytest.raises(ValueError, match=re.escape(message)):
         path_cost(graph, chosen)
 

@@ -416,12 +416,25 @@ def test_gtsp_guards():
 def test_a_wide_selection_holds_a_fraction_of_its_step_blocks(seed):
     # 60 targets of up to 400 configurations: 12.6-22.2 MB of step blocks in all.
     task = generate_random_task(60, 400, seed, "explicit_ik")
+    config = PipelineConfig(metric=MetricKind.LINEAR_INTERP_DURATION)
     tracemalloc.start()
     try:
-        result = solve_sequence(task, PipelineConfig(metric=MetricKind.LINEAR_INTERP_DURATION))
+        result = solve_sequence(task, config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < result.counts["step_cost_bytes"] / 4
+    # The same bound holds for pricing a fixed choice, as cspace_tsp and gtsp_exact do.
+    ik_sets = resolve_ik_sets(task, config.step_size)
+    graph = build_layered_graph(task.home, [ik_sets[t] for t in result.order.order], config.metric,
+                                MetricParams.from_robot(task.robot))
+    tracemalloc.start()
+    try:
+        total, _ = path_cost(graph, result.selection.chosen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == result.selection.total_cost
     assert peak < result.counts["step_cost_bytes"] / 4
 
 

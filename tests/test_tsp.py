@@ -165,6 +165,9 @@ def test_distance_matrix_holds_one_n_by_n_array():
     ((0, 1, -3), "tour node -3 is outside [0, 3)"),
     ((0, 3), "tour node 3 is outside [0, 3)"),    # not a bare IndexError
     ((5, -1), "tour node 5 is outside [0, 3)"),
+    ((0, 1.2, 2.7), "tour node 1.2 is not an integer"),  # not truncated to (0, 1, 2)
+    ((0, 1, 2.0), "tour node 2.0 is not an integer"),
+    (("1", "0"), "tour node '1' is not an integer"),
 ])
 @pytest.mark.parametrize("kind", list(TourKind))
 def test_tour_cost_refuses_a_node_outside_the_matrix(order, message, kind):
