@@ -6,6 +6,8 @@ time-parameterize the result. Brute-force oracles and reference methods are
 included for verification and benchmarking.
 """
 
+from types import ModuleType as _ModuleType
+
 from .cgraph import (
     LayeredGraph,
     SelectionResult,
@@ -70,54 +72,6 @@ from .tsp import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Configuration",
-    "GuardError",
-    "IkSolutionSet",
-    "LayeredGraph",
-    "MetricKind",
-    "MetricParams",
-    "PipelineConfig",
-    "PipelineResult",
-    "Pose2D",
-    "RobotModel",
-    "SelectionResult",
-    "SolverKind",
-    "Task",
-    "TaskTarget",
-    "TourKind",
-    "TourOrder",
-    "baseline_cspace_tsp",
-    "baseline_gtsp_exact",
-    "benchmark_run",
-    "brute_force_cycle",
-    "brute_force_selection",
-    "build_layered_graph",
-    "build_task_distance_matrix",
-    "default_weights",
-    "edge_cost",
-    "execute_trajectory_schedule",
-    "forward_kinematics",
-    "generate_random_task",
-    "ik_3r",
-    "ik_targets",
-    "jacobian",
-    "linear_interp_duration",
-    "manipulability",
-    "max_joint_difference",
-    "open_order_from_cycle",
-    "pairwise_cost",
-    "path_cost",
-    "planar_arm",
-    "resolve_ik_sets",
-    "shortest_selection",
-    "solve_2opt",
-    "solve_exact",
-    "solve_rnn",
-    "solve_sequence",
-    "tour_cost",
-    "trapezoid_duration_1d",
-    "validate_task",
-    "weighted_euclidean",
-    "wrap_angle",
-]
+# The public names are the import block's, less the submodules it binds.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -192,12 +192,10 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     lexicographically smallest of all optima; its recorded edge costs are
     added as :func:`path_cost` adds them, so no block is read twice.
     """
-    successors, edge_costs, suffix, aranges = [], [], graph.goal_costs, {}
+    successors, edge_costs, suffix = [], [], graph.goal_costs
     for block in reversed(graph.step_costs):
         scores = block + suffix
-        rows = aranges.get(len(scores))
-        if rows is None:
-            rows = aranges[len(scores)] = np.arange(len(scores))
+        rows = np.arange(len(scores))
         successors.append(scores.argmin(axis=1))
         suffix = scores[rows, successors[-1]]
         edge_costs.append(block[rows, successors[-1]])

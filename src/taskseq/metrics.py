@@ -228,12 +228,12 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
 
     Vectorized companion of :func:`edge_cost`, used to price whole graph
     layers: both run :func:`_price`, so entries match the scalar metric bit
-    for bit. Output holding more than ``TILE_ENTRIES`` entries is priced in
-    bands of rows of ``a``, one tile each, so the temporaries stay small: no
-    metric holds an array with a joint axis. Every metric reads ``b`` from a
-    joint-major copy, one contiguous column per joint, under the
-    ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks
-    and ``params`` disagree on the number of joints, or when that number is zero.
+    for bit. Every call prices bands of rows of ``a``, one tile of about
+    ``TILE_ENTRIES`` entries each (a block of one tile is one band), into one
+    output, so no metric holds an array with a joint axis. Every metric reads
+    ``b`` from a joint-major copy, one contiguous column per joint, under the
+    ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks and
+    ``params`` disagree on the number of joints, or when that number is zero.
     """
     a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
@@ -242,10 +242,8 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)[..., None, :, :]
     saved = np.setbufsize(_PRICING_BUFFER)
     try:
-        if rows <= band:
-            return _price(kind, params, a[..., :, None, :], b)
         out = np.empty((*lead, rows, cols))
-        for top in range(0, rows, band):
+        for top in range(0, max(rows, 1), band):  # one band at least: an empty ``a`` is checked too
             out[..., top:top + band, :] = _price(kind, params, a[..., top:top + band, None, :], b)
         return out
     finally:

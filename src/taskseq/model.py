@@ -67,9 +67,6 @@ def _vector(values) -> np.ndarray:
 
 def _configurations(rows):
     """Rows as one read-only float (m, dof) array; ragged rows stay one vector each."""
-    if (type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype == np.float64
-            and not rows.flags.writeable):
-        return rows  # already the array the steps below would return, as the same object
     try:
         stack = np.asarray(rows, dtype=float)
     except ValueError:  # ragged rows: validate_task names each bad one

@@ -223,8 +223,9 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
     Each walk appends its nearest unvisited node, the lowest index on ties (all at
-    inf included). The walks share one numpy pick per step; each cycle is priced by
-    :func:`tour_cost`. The cheapest cycle wins, earlier starts winning ties.
+    inf included); an unvisited NaN entry ranks first, as ``argmin`` ranks it. The
+    walks share one numpy pick per step; each cycle is priced by :func:`tour_cost`.
+    The cheapest cycle wins, earlier starts winning ties.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]

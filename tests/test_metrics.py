@@ -443,6 +443,15 @@ def test_pairwise_cost_rejects_a_joint_count_mismatch(kind, a_dof, b_dof, params
     assert np.getbufsize() == buffer  # restored after a failed pricing call too
 
 
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_pairwise_cost_checks_an_empty_stack_too(kind):
+    params = MetricParams(weights=np.ones(3), vel_max=np.ones(3), acc_max=np.ones(3))
+    with pytest.raises(ValueError, match="joint count mismatch"):
+        pairwise_cost(kind, params, np.empty((0, 2)), np.ones((3, 2)))
+    assert pairwise_cost(kind, params, np.empty((0, 3)), np.ones((3, 3))).shape == (0, 3)
+    assert pairwise_cost(kind, params, np.empty((2, 0, 3)), np.ones((3, 3))).shape == (2, 0, 3)
+
+
 _NO_JOINTS = MetricParams(weights=[], vel_max=[], acc_max=[])
 _ZERO_JOINT_PRICINGS = [
     *(pytest.param(functools.partial(pairwise_cost, kind, _NO_JOINTS, np.empty((2, 0)), np.empty((3, 0))),

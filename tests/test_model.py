@@ -1,9 +1,12 @@
 import json
+import pydoc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import taskseq
 from taskseq.kinematics import IkSolutionSet
 from taskseq.model import (
     RobotModel,
@@ -300,3 +303,17 @@ def test_ordered_sum_adds_left_to_right_without_compensation():
     # (the builtin sum() from Python 3.12) gives 1.0000000000000002e16.
     assert ordered_sum([1e16, 1.0, 1.0]) == 1e16
     assert ordered_sum([]) == 0.0
+
+
+def test_the_package_exports_its_api_and_no_module():
+    star = {}
+    exec("from taskseq import *", star)
+    star.pop("__builtins__")
+    assert sorted(star) == sorted(taskseq.__all__)
+    assert not any(isinstance(value, types.ModuleType) for value in star.values())
+    readme_entry_points = {  # named in README's "Library use"
+        "solve_sequence", "baseline_cspace_tsp", "baseline_gtsp_exact", "build_task_distance_matrix",
+        "solve_exact", "solve_2opt", "solve_rnn", "build_layered_graph", "shortest_selection", "ik_targets",
+    }
+    assert readme_entry_points <= set(star)
+    assert "solve_sequence(" in pydoc.render_doc(taskseq, renderer=pydoc.plaintext)
