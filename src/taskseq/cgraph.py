@@ -12,6 +12,7 @@ search on small instances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kinematics import IkSolutionSet
-from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
+from .metrics import TILE_ENTRIES, MetricKind, MetricParams, folding, pairwise_cost
 from .model import Configuration, GuardError, index_tuple, ordered_sum
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
@@ -31,8 +32,9 @@ class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target.
 
     ``step_costs``, a :class:`StepBlocks` from :func:`build_layered_graph` or a
-    tuple (the tests' hand-made graphs), is read by ``len()`` and iteration
-    both ways. The counts below come from the layer sizes alone and price nothing.
+    tuple (blocks kept by :func:`brute_force_selection`, and hand-made costs
+    that no metric prices), is read by ``len()`` and iteration. The counts
+    below come from the layer sizes alone and price nothing.
     """
 
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
@@ -59,8 +61,8 @@ class LayeredGraph:
 
     @property
     def step_cost_bytes(self) -> int:
-        """Bytes of all float64 (m_i, m_{i+1}) step blocks together, not bytes
-        held at once: every reader holds one run of blocks at a time."""
+        """Bytes of all float64 (m_i, m_{i+1}) step blocks together, not bytes held
+        at once: iteration holds one run of blocks at a time, the sweep one band."""
         return np.dtype(float).itemsize * _step_entries(self.layer_sizes)
 
 
@@ -99,12 +101,12 @@ def _step_entries(sizes) -> int:
 class StepBlocks:
     """The step blocks of a graph's layers, priced by :func:`pairwise_cost` when read.
 
-    Each run of :func:`_price_runs` is one call. Iteration prices the runs in
-    order and ``reversed()`` last-first, each as the reader reaches it; none
+    Each run of :func:`_price_runs` is one call on its :meth:`stacks`.
+    Iteration prices the runs in order, each as the reader reaches it; none
     is kept, so every read prices anew. A run of small blocks between layers
-    of equal size goes in as stacked (k, m, dof) layers, and its (k, m, m)
-    result is read as k views; a block wider than a tile is a run of its own,
-    which ``pairwise_cost`` prices in row bands.
+    of equal size goes in as stacked (k, m, dof) layers, at most one tile and
+    so one band, and its (k, m, m) result is read as k views; a block wider
+    than a tile is a run of its own, which ``pairwise_cost`` prices in row bands.
     """
 
     def __init__(self, layers, kind: MetricKind, params: MetricParams):
@@ -112,20 +114,20 @@ class StepBlocks:
         self.sizes = tuple(len(layer) for layer in layers)
         self.runs = _price_runs(self.sizes)
 
-    def _price(self, first: int, stop: int):
+    def stacks(self, first: int, stop: int):
+        """The ``a, b`` stacks that :func:`pairwise_cost` prices blocks first..stop-1 from."""
         if stop - first == 1:
-            return (pairwise_cost(self.kind, self.params, self.layers[first], self.layers[stop]),)
+            return self.layers[first], self.layers[stop]
         run = np.stack(self.layers[first:stop + 1])
-        return pairwise_cost(self.kind, self.params, run[:-1], run[1:])
+        return run[:-1], run[1:]
 
     def __len__(self) -> int:
         return len(self.sizes) - 1
 
     def __iter__(self):
-        return (block for run in self.runs for block in self._price(*run))
-
-    def __reversed__(self):
-        return (block for run in reversed(self.runs) for block in self._price(*run)[::-1])
+        for run in self.runs:
+            blocks = pairwise_cost(self.kind, self.params, *self.stacks(*run))
+            yield from blocks.reshape(-1, *blocks.shape[-2:])
 
 
 def build_layered_graph(
@@ -184,25 +186,40 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     """Optimal configuration choice per target for the graph's fixed order.
 
-    The graph is layered and acyclic, so one backward sweep over
-    ``reversed(graph.step_costs)`` computes every vertex's cost-to-Goal and
-    records, per layer, each vertex's lowest-index successor on a minimal
-    path and that edge's cost. A forward walk from the lowest-index best
+    The graph is layered and acyclic, so one backward sweep over the step
+    blocks computes every vertex's cost-to-Goal and records, per layer, each
+    vertex's lowest-index successor on a minimal path and that edge's cost.
+    It folds a band of rows at a time, as one :func:`pairwise_cost` call per
+    :class:`StepBlocks` run prices them into a reused tile, so it holds one
+    band, never a block (a tuple's blocks fold whole); a row's minimum lies in
+    its band, so the tile moves no bit. A forward walk from the lowest-index best
     first vertex follows the successors, so the selection is the
     lexicographically smallest of all optima; its recorded edge costs are
     added as :func:`path_cost` adds them, so no block is read twice.
     """
-    successors, edge_costs, suffix = [], [], graph.goal_costs
-    for block in reversed(graph.step_costs):
-        scores = block + suffix
-        rows = np.arange(len(scores))
-        successors.append(scores.argmin(axis=1))
-        suffix = scores[rows, successors[-1]]
-        edge_costs.append(block[rows, successors[-1]])
-        del block, scores  # only one run and one (m_i, m_{i+1}) temporary are live at a time
+    # Per layer, each vertex's (lowest-index successor, cost to Goal, edge cost to that successor).
+    tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs, None)]
 
-    chosen, steps = [int(np.argmin(graph.start_costs + suffix))], []
-    for successor, cost in zip(reversed(successors), reversed(edge_costs)):
+    def fold(first: int, top: int, tile) -> None:
+        """Rows top.. of blocks first, first + 1, ... of ``tile``, the last block first."""
+        run = tile.reshape(-1, *tile.shape[-2:])
+        summed, rows = np.empty(run.shape[1:]), np.arange(run.shape[1])
+        for i in reversed(range(first, first + len(run))):
+            best = np.add(run[i - first], tails[i + 1][1], out=summed).argmin(axis=1)
+            new = best, summed[rows, best], run[i - first][rows, best]
+            tails[i] = tuple(map(np.concatenate, zip(tails[i], new))) if top else new
+
+    blocks = graph.step_costs
+    if isinstance(blocks, StepBlocks):
+        for first, stop in reversed(blocks.runs):
+            with folding(functools.partial(fold, first)):
+                pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop))
+    else:
+        for i in reversed(range(len(blocks))):
+            fold(i, 0, blocks[i])
+
+    chosen, steps = [int(np.argmin(graph.start_costs + tails[0][1]))], []
+    for successor, _, cost in tails[:-1]:
         steps.append(cost[chosen[-1]])
         chosen.append(int(successor[chosen[-1]]))
     return SelectionResult(tuple(chosen), *_path_sum(graph, chosen, steps))

@@ -12,12 +12,16 @@ interpolation duration is its obstacle-free surrogate.
 :func:`pairwise_cost` prices whole graph blocks, one tile of about
 ``TILE_ENTRIES`` entries per numpy pass: a block wider than a tile is priced
 in row bands, and the layered graph stacks runs of small equal-size blocks
-into one call. Every entry is the same chain of floating-point operations as
-the single move :func:`edge_cost` prices, so tiling never changes a bit.
+into one call. Each band is written into the output, or, inside
+:func:`folding`, handed to a fold in a reused tile and dropped. Every entry is
+the same chain of floating-point operations as the single move
+:func:`edge_cost` prices, so tiling never changes a bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -27,10 +31,11 @@ import numpy as np
 
 from .model import Configuration, RobotModel
 
-#: Entries priced per numpy pass: small enough that a tile's temporaries stay
-#: in cache, large enough that the per-call overhead of numpy is paid rarely.
-#: Wider blocks are priced in row bands; runs of smaller equal-size graph
-#: blocks are stacked up to it (see ``cgraph._price_runs`` and :class:`~taskseq.cgraph.StepBlocks`).
+#: Entries priced per numpy pass: small enough that a tile and its two
+#: scratch tiles, reused by every band of a call, stay in cache, large enough
+#: that the per-call overhead of numpy is paid rarely. Wider blocks are priced
+#: in row bands, the step-2 sweep folds one band at a time; runs of smaller
+#: equal-size graph blocks are stacked up to it (see ``cgraph._price_runs`` and :class:`~taskseq.cgraph.StepBlocks`).
 TILE_ENTRIES = 1 << 15
 
 #: numpy's ufunc buffer, in elements, while :func:`pairwise_cost` prices a
@@ -38,6 +43,9 @@ TILE_ENTRIES = 1 << 15
 #: broadcast subtractions 2-4x faster for block rows of 100 to 1000 entries,
 #: about the same for shorter rows.
 _PRICING_BUFFER = 256
+
+#: The fold that :func:`pairwise_cost` hands its bands to, if any; each thread has its own.
+_FOLD = contextvars.ContextVar("fold", default=None)
 
 
 class MetricKind(str, Enum):
@@ -100,8 +108,8 @@ def _joint_groups(*limits: bytes) -> tuple:
     return tuple((tuple(joints), key) for key, joints in members.items())
 
 
-def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
-    """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, *limits of k)``.
+def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups, out, scratch) -> np.ndarray:
+    """max over joints k of ``joint_cost(|a[..., k] - b[..., k]|, *limits of k)``, into ``out``.
 
     ``groups`` comes from :func:`_joint_groups` of the params' limits: each
     group is a set of joints that share their limits. The one condition is
@@ -110,30 +118,22 @@ def _joint_max(a: np.ndarray, b: np.ndarray, joint_cost, groups) -> np.ndarray:
     formula runs once per group, on the group's largest distances. A max is
     exact in any order, so the result has the bits of pricing every joint and
     reducing over the full cost array. Callers check that ``a``, ``b`` and
-    the limits have the same, non-zero number of joints.
+    the limits have the same, non-zero number of joints, and pass two
+    ``scratch`` arrays of ``out``'s shape.
     """
-    out = None
-    for joints, limits in groups:
-        cost = joint_cost(_max_distance(a, b, joints), *limits)
-        out = cost if out is None else np.maximum(out, cost, out=out)
+    dist, spare = scratch
+    for g, (joints, limits) in enumerate(groups):
+        np.abs(np.subtract(a[..., joints[0]], b[..., joints[0]], out=dist), out=dist)
+        for k in joints[1:]:
+            np.abs(np.subtract(a[..., k], b[..., k], out=spare), out=spare)
+            np.maximum(dist, spare, out=dist)
+        cost = joint_cost(dist, *limits, out=spare if g else out)
+        if g:
+            np.maximum(out, cost, out=out)
     return out
 
 
-def _max_distance(a: np.ndarray, b: np.ndarray, joints: tuple) -> np.ndarray:
-    """max over ``joints`` of |a[..., k] - b[..., k]|, folded through one reused buffer.
-
-    The buffer is freed on return, before the cost formula allocates its own.
-    """
-    dist = np.abs(a[..., joints[0]] - b[..., joints[0]])
-    if len(joints) > 1:
-        scratch = np.empty_like(dist)
-        for k in joints[1:]:
-            np.abs(np.subtract(a[..., k], b[..., k], out=scratch), out=scratch)
-            np.maximum(dist, scratch, out=dist)
-    return dist
-
-
-def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
+def _trapezoid_kernel(dist, vmax, amax, out=None) -> np.ndarray:
     """Trapezoid duration of moves of ``dist``: dist/vmax + vmax/amax at or
     beyond c = vmax^2/amax, below c the smaller of that and 2*sqrt(dist/amax).
 
@@ -144,19 +144,21 @@ def _trapezoid_kernel(dist, vmax, amax) -> np.ndarray:
     """
     # Long moves take no square root: only the entries below c are revisited,
     # by C-order index, which np.take and np.put follow in any layout.
-    out = dist / vmax + vmax / amax
+    out = np.divide(dist, vmax, out=out)
+    out += vmax / amax
     short = np.flatnonzero(dist < vmax * vmax / amax)
     np.put(out, short, np.minimum(out.take(short), 2.0 * np.sqrt(dist.take(short) / amax)))
     return out
 
 
-def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
+def _price(kind: MetricKind, params: MetricParams, a, b, out=None, scratch=None) -> np.ndarray:
     """Cost of every move from stack ``a`` to stack ``b`` under the metric ``kind``.
 
     Joints lie on the last axis; the leading axes broadcast against each
     other, and one move is a stack of one. Either stack may be in any memory
-    layout. Raises ``ValueError`` when the stacks and ``params`` disagree on
-    the number of joints, or when that number is zero.
+    layout. The costs go into ``out`` (fresh if not given) through two
+    ``scratch`` arrays of its shape. Raises ``ValueError`` when the stacks and
+    ``params`` disagree on the number of joints, or when that number is zero.
     """
     kind = MetricKind(kind)
     a, b = np.atleast_2d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -167,16 +169,19 @@ def _price(kind: MetricKind, params: MetricParams, a, b) -> np.ndarray:
         )
     if a.shape[-1] == 0:
         raise ValueError("cannot price a move of zero joints")
+    if out is None:
+        out, *scratch = np.empty((3, *np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
     if kind is MetricKind.WEIGHTED_EUCLIDEAN:  # added in joint order from 0.0, as ordered_sum adds
-        total = 0.0
+        diff, term = scratch
+        out.fill(0.0)
         for k, weight in enumerate(params.weights.tolist()):
-            diff = a[..., k] - b[..., k]
-            total += np.multiply(weight * diff, diff, out=diff)
-        return np.sqrt(total)
+            np.subtract(a[..., k], b[..., k], out=diff)
+            np.add(out, np.multiply(np.multiply(weight, diff, out=term), diff, out=term), out=out)
+        return np.sqrt(out, out=out)
     if kind is MetricKind.MAX_JOINT_DIFFERENCE:
-        return _joint_max(a, b, np.divide, _joint_groups(params.vel_max.tobytes()))
+        return _joint_max(a, b, np.divide, _joint_groups(params.vel_max.tobytes()), out, scratch)
     groups = _joint_groups(params.vel_max.tobytes(), params.acc_max.tobytes())
-    return _joint_max(a, b, _trapezoid_kernel, groups)
+    return _joint_max(a, b, _trapezoid_kernel, groups, out, scratch)
 
 
 def weighted_euclidean(q: Configuration, q_to: Configuration, weights) -> float:
@@ -221,7 +226,18 @@ def edge_cost(kind: MetricKind, params: MetricParams, q: Configuration, q_to: Co
     return float(_price(kind, params, q, q_to)[0])
 
 
-def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+@contextlib.contextmanager
+def folding(fold):
+    """Inside the block, this thread's :func:`pairwise_cost` calls hand their bands to ``fold``.
+    It is not an argument, so wrappers that record the call's four arguments see the same call."""
+    token = _FOLD.set(fold)
+    try:
+        yield
+    finally:
+        _FOLD.reset(token)
+
+
+def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Cost of every move from a row of ``a`` to a row of ``b``: stacks of
     (m_a, dof) and (m_b, dof) give an (m_a, m_b) matrix, and stacks of
     (k, m_a, dof) and (k, m_b, dof) give k such blocks, (k, m_a, m_b).
@@ -229,9 +245,12 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     Vectorized companion of :func:`edge_cost`, used to price whole graph
     layers: both run :func:`_price`, so entries match the scalar metric bit
     for bit. Every call prices bands of rows of ``a``, one tile of about
-    ``TILE_ENTRIES`` entries each (a block of one tile is one band), into one
-    output, so no metric holds an array with a joint axis. Every metric reads
-    ``b`` from a joint-major copy, one contiguous column per joint, under the
+    ``TILE_ENTRIES`` entries each (a block of one tile is one band), through
+    two scratch tiles that every band reuses, so no metric holds an array with
+    a joint axis. Each band goes straight into its rows of the output; inside
+    :func:`folding`, into one reused tile handed to ``fold(top, tile)``, with
+    ``top`` its first row, and the call returns None. Every metric reads ``b``
+    from a joint-major copy, one contiguous column per joint, under the
     ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks and
     ``params`` disagree on the number of joints, or when that number is zero.
     """
@@ -240,11 +259,17 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     rows, cols = a.shape[-2], b.shape[-2]
     band = max(1, TILE_ENTRIES // max(1, math.prod(lead) * cols))
     b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)[..., None, :, :]
+    fold = _FOLD.get()
+    out = np.empty((*lead, min(band, rows) if fold else rows, cols))
+    scratch = np.empty((2, *lead, min(band, rows), cols))
     saved = np.setbufsize(_PRICING_BUFFER)
     try:
-        out = np.empty((*lead, rows, cols))
         for top in range(0, max(rows, 1), band):  # one band at least: an empty ``a`` is checked too
-            out[..., top:top + band, :] = _price(kind, params, a[..., top:top + band, None, :], b)
-        return out
+            n = min(band, rows - top)
+            tile = out[..., :n, :] if fold else out[..., top:top + n, :]
+            _price(kind, params, a[..., top:top + n, None, :], b, tile, scratch[..., :n, :])
+            if fold:
+                fold(top, tile)
+        return None if fold else out
     finally:
         np.setbufsize(saved)

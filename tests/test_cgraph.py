@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,26 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
     assert _bits(swept) == _bits(shortest_selection(kept))
     assert _bits(swept) == _bits(cgraph.SelectionResult(swept.chosen, total, edges))
     assert swept.total_cost == path_cost(kept, swept.chosen)[0]
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_the_sweep_holds_one_band_of_a_wide_block(kind):
+    # One 600 x 600 block of 6-joint moves, 2.9 MB, priced in 12 bands of at most 54
+    # rows: the sweep holds one band and its scores, never the block.
+    rng = np.random.default_rng(14)
+    layers = [rng.uniform(-math.pi, math.pi, (600, 6)) for _ in range(2)]
+    graph = build_layered_graph(np.zeros(6), [IkSolutionSet(t, x) for t, x in enumerate(layers)],
+                                kind, _unit_params(6))
+    assert graph.step_cost_bytes == 600 * 600 * 8 and TILE_ENTRIES // 600 == 54
+    tracemalloc.start()
+    try:
+        swept = shortest_selection(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < graph.step_cost_bytes / 2
+    kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
+    assert _bits(swept) == _bits(shortest_selection(kept))
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))

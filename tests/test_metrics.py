@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from taskseq import metrics
 from taskseq.metrics import (
     MetricKind,
     MetricParams,
@@ -15,6 +16,7 @@ from taskseq.metrics import (
     _trapezoid_kernel,
     default_weights,
     edge_cost,
+    folding,
     linear_interp_duration,
     max_joint_difference,
     pairwise_cost,
@@ -213,20 +215,32 @@ _ENTRIES = st.one_of(
 )
 # Multiples of a joint's profile boundary vmax^2/amax: moves of exactly that
 # distance and one ulp either side of it take both branches of the trapezoid.
-_BOUNDARY_FACTORS = st.sampled_from([0.0, 1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.5, 2.0])
+_BOUNDARY_FACTORS = [0.0, 1.0, -1.0, 1.0 + 2**-52, 1.0 - 2**-53, 0.5, 2.0]
 
 
 @st.composite
 def _priced_stacks(draw, dof):
+    """Params and two stacks of up to 40 rows: a mask picks, per entry, a
+    multiple of its joint's profile boundary or a plain entry, one of a few
+    drawn from ``_ENTRIES`` or uniform in [-8, 8]. Whole stacks come from a
+    seeded generator, as hypothesis fills an array: one background value and
+    a share of entries drawn anew, none to all, so constant stacks, whose
+    moves are short at 130 joints too, come up. Drawing a 130-joint stack
+    entry by entry took most of the test's time."""
     limits = arrays(float, dof, elements=st.floats(0.25, 4.0))
     params = MetricParams(weights=draw(limits), vel_max=draw(limits), acc_max=draw(limits))
     boundary = params.vel_max * params.vel_max / params.acc_max
+    pool = draw(st.lists(_ENTRIES, min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def filled(shape, pick):
+        return np.where(rng.random(shape) < rng.choice([0.0, 0.05, 0.5, 1.0]), pick(shape), pick(()))
 
     def stack():
         shape = (draw(st.integers(1, 40)), dof)
-        plain = draw(arrays(float, shape, elements=_ENTRIES))
-        factors = draw(arrays(float, shape, elements=_BOUNDARY_FACTORS))
-        return np.where(draw(arrays(bool, shape)), factors * boundary, plain)
+        plain = filled(shape, lambda s: np.where(rng.random(s) < 0.5, rng.choice(pool, s), rng.uniform(-8, 8, s)))
+        factors = filled(shape, lambda s: rng.choice(_BOUNDARY_FACTORS, s))
+        return np.where(filled(shape, lambda s: rng.random(s) < 0.5), factors * boundary, plain)
 
     return params, stack(), stack()
 
@@ -450,6 +464,43 @@ def test_pairwise_cost_checks_an_empty_stack_too(kind):
         pairwise_cost(kind, params, np.empty((0, 2)), np.ones((3, 2)))
     assert pairwise_cost(kind, params, np.empty((0, 3)), np.ones((3, 3))).shape == (0, 3)
     assert pairwise_cost(kind, params, np.empty((2, 0, 3)), np.ones((3, 3))).shape == (2, 0, 3)
+
+
+# Wide runs of one block, (m_a, dof) x (m_b, dof), and stacked runs, (k, m_a, dof) x (k, m_b, dof).
+_BANDED_SHAPES = [((7,), (5,)), ((1,), (9,)), ((13,), (1,)), ((21,), (21,)), ((3, 4), (3, 4)), ((2, 5), (2, 3))]
+
+
+@pytest.mark.parametrize("tile", [1, 2, 6, 12, 20])
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_folded_bands_are_the_unfolded_pricing_byte_for_byte(kind, tile):
+    rng = np.random.default_rng(tile)
+    limits = rng.choice([0.5, 1.0, 2.0], (2, 4))  # joints that share their limits, and some that do not
+    params = MetricParams(rng.uniform(0.25, 4.0, 4), *limits)
+    for a_shape, b_shape in _BANDED_SHAPES:
+        a, b = rng.uniform(-3.0, 3.0, (*a_shape, 4)), rng.uniform(-3.0, 3.0, (*b_shape, 4))
+        bands = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "TILE_ENTRIES", tile)
+            expected = pairwise_cost(kind, params, a, b)
+            with folding(lambda top, band: bands.append((top, band.copy()))):
+                assert pairwise_cost(kind, params, a, b) is None
+            assert pairwise_cost(kind, params, a, b).tobytes() == expected.tobytes()  # unfolded again
+        tops = [top for top, _ in bands]
+        assert tops == [sum(band.shape[-2] for _, band in bands[:i]) for i in range(len(bands))]
+        assert all(band.size <= max(tile, band[..., :1, :].size) for _, band in bands)  # a tile, or one row
+        assert np.concatenate([band for _, band in bands], axis=-2).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_a_folded_call_checks_an_empty_stack_too(kind):
+    params = MetricParams(weights=np.ones(3), vel_max=np.ones(3), acc_max=np.ones(3))
+    bands = []
+    with folding(lambda top, band: bands.append((top, band.shape))):
+        with pytest.raises(ValueError, match="joint count mismatch"):
+            pairwise_cost(kind, params, np.empty((0, 2)), np.ones((3, 2)))
+        assert bands == []
+        assert pairwise_cost(kind, params, np.empty((0, 3)), np.ones((3, 3))) is None
+    assert bands == [(0, (0, 3))]
 
 
 _NO_JOINTS = MetricParams(weights=[], vel_max=[], acc_max=[])

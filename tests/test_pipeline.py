@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -436,6 +437,31 @@ def test_a_wide_selection_holds_a_fraction_of_its_step_blocks(seed):
         tracemalloc.stop()
     assert total == result.selection.total_cost
     assert peak < result.counts["step_cost_bytes"] / 4
+
+
+def test_threads_that_solve_at_once_get_the_bits_of_solving_in_turn():
+    """Four threads solve select-wide-shaped tasks at the same time, switching often. No
+    reused buffer ever leaves ``metrics`` or the sweep: the scratch tiles belong to one
+    ``pairwise_cost`` call, the scores to one band of one sweep, and the fold that a
+    sweep hands ``pairwise_cost`` is held per thread, so no thread prices into, or
+    folds, another's bands."""
+    tasks = [generate_random_task(20, 400, seed, "explicit_ik") for seed in range(8)]
+    config = PipelineConfig(metric=MetricKind.LINEAR_INTERP_DURATION)
+
+    def solved(task):
+        result = solve_sequence(task, config)
+        costs = [result.selection.total_cost, *result.selection.per_edge_costs, result.schedule_duration]
+        return result.order.order, result.selection.chosen, np.array(costs).tobytes()
+
+    in_turn = [solved(task) for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            for _ in range(2):
+                assert list(pool.map(solved, tasks, timeout=120)) == in_turn
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _joint_by_every_order(task, config):
