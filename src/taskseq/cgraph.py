@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import IkSolutionSet
-from .metrics import TILE_ENTRIES, MetricKind, MetricParams, folding, pairwise_cost
+from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
 from .model import Configuration, GuardError, index_tuple, ordered_sum
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
@@ -32,9 +32,8 @@ class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target.
 
     ``step_costs``, a :class:`StepBlocks` from :func:`build_layered_graph` or a
-    tuple (blocks kept by :func:`brute_force_selection`, and hand-made costs
-    that no metric prices), is read by ``len()`` and iteration. The counts
-    below come from the layer sizes alone and price nothing.
+    tuple of hand-made costs that no metric prices, is read by ``len()`` and
+    iteration. The counts below come from the layer sizes alone and price nothing.
     """
 
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
@@ -189,13 +188,14 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     The graph is layered and acyclic, so one backward sweep over the step
     blocks computes every vertex's cost-to-Goal and records, per layer, each
     vertex's lowest-index successor on a minimal path and that edge's cost.
-    It folds a band of rows at a time, as one :func:`pairwise_cost` call per
-    :class:`StepBlocks` run prices them into a reused tile, so it holds one
-    band, never a block (a tuple's blocks fold whole); a row's minimum lies in
-    its band, so the tile moves no bit. A forward walk from the lowest-index best
-    first vertex follows the successors, so the selection is the
-    lexicographically smallest of all optima; its recorded edge costs are
-    added as :func:`path_cost` adds them, so no block is read twice.
+    It folds a band of rows at a time: one :func:`pairwise_cost` call per
+    :class:`StepBlocks` run prices them into a reused tile, handed to its
+    ``fold`` keyword, so it holds one band, never a block (a tuple's blocks
+    fold whole); a row's minimum lies in its band, so the tile moves no bit.
+    A forward walk from the lowest-index best first vertex follows the
+    successors, so the selection is the lexicographically smallest of all
+    optima; its recorded edge costs are added as :func:`path_cost` adds them,
+    so no block is read twice.
     """
     # Per layer, each vertex's (lowest-index successor, cost to Goal, edge cost to that successor).
     tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs, None)]
@@ -212,8 +212,8 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     blocks = graph.step_costs
     if isinstance(blocks, StepBlocks):
         for first, stop in reversed(blocks.runs):
-            with folding(functools.partial(fold, first)):
-                pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop))
+            pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop),
+                          fold=functools.partial(fold, first))
     else:
         for i in reversed(range(len(blocks))):
             fold(i, 0, blocks[i])
@@ -236,18 +236,19 @@ def brute_force_selection(
     Enumerates the full product of layer choices in lexicographic order,
     keeping the first strict minimum, so ties resolve exactly as in
     :func:`shortest_selection`. Guarded: the product of layer sizes must not
-    exceed ``BRUTE_FORCE_GUARD``; within it, the blocks are read once, into a tuple.
+    exceed ``BRUTE_FORCE_GUARD``; within it, the blocks are read once, into a
+    tuple, and each combination's edges are added as :func:`path_cost` adds them.
     """
     graph = build_layered_graph(home, ordered_ik, kind, params)
     sizes = graph.layer_sizes
     combinations = math.prod(sizes)
     if combinations > BRUTE_FORCE_GUARD:
         raise GuardError(f"selection oracle guard: {combinations} combinations exceed {BRUTE_FORCE_GUARD}")
-    graph = replace(graph, step_costs=tuple(graph.step_costs))
+    blocks = tuple(graph.step_costs)
     best_total = np.inf
     best: SelectionResult | None = None
     for chosen in itertools.product(*(range(m) for m in sizes)):
-        total, edges = path_cost(graph, chosen)
+        total, edges = _path_sum(graph, chosen, (b[i, j] for b, i, j in zip(blocks, chosen, chosen[1:])))
         if total < best_total:
             best_total = total
             best = SelectionResult(chosen=chosen, total_cost=total, per_edge_costs=edges)

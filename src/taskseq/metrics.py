@@ -12,16 +12,14 @@ interpolation duration is its obstacle-free surrogate.
 :func:`pairwise_cost` prices whole graph blocks, one tile of about
 ``TILE_ENTRIES`` entries per numpy pass: a block wider than a tile is priced
 in row bands, and the layered graph stacks runs of small equal-size blocks
-into one call. Each band is written into the output, or, inside
-:func:`folding`, handed to a fold in a reused tile and dropped. Every entry is
-the same chain of floating-point operations as the single move
-:func:`edge_cost` prices, so tiling never changes a bit.
+into one call. Each band is written into the output, or, given a ``fold``
+keyword, handed to it in a reused tile and dropped. Every entry is the same
+chain of floating-point operations as the single move :func:`edge_cost`
+prices, so tiling never changes a bit.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ from .model import Configuration, RobotModel
 #: Entries priced per numpy pass: small enough that a tile and its two
 #: scratch tiles, reused by every band of a call, stay in cache, large enough
 #: that the per-call overhead of numpy is paid rarely. Wider blocks are priced
-#: in row bands, the step-2 sweep folds one band at a time; runs of smaller
+#: in row bands, each handed to the step-2 sweep's ``fold`` in turn; runs of smaller
 #: equal-size graph blocks are stacked up to it (see ``cgraph._price_runs`` and :class:`~taskseq.cgraph.StepBlocks`).
 TILE_ENTRIES = 1 << 15
 
@@ -43,9 +41,6 @@ TILE_ENTRIES = 1 << 15
 #: broadcast subtractions 2-4x faster for block rows of 100 to 1000 entries,
 #: about the same for shorter rows.
 _PRICING_BUFFER = 256
-
-#: The fold that :func:`pairwise_cost` hands its bands to, if any; each thread has its own.
-_FOLD = contextvars.ContextVar("fold", default=None)
 
 
 class MetricKind(str, Enum):
@@ -226,18 +221,8 @@ def edge_cost(kind: MetricKind, params: MetricParams, q: Configuration, q_to: Co
     return float(_price(kind, params, q, q_to)[0])
 
 
-@contextlib.contextmanager
-def folding(fold):
-    """Inside the block, this thread's :func:`pairwise_cost` calls hand their bands to ``fold``.
-    It is not an argument, so wrappers that record the call's four arguments see the same call."""
-    token = _FOLD.set(fold)
-    try:
-        yield
-    finally:
-        _FOLD.reset(token)
-
-
-def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.ndarray, *,
+                  fold=None) -> np.ndarray | None:
     """Cost of every move from a row of ``a`` to a row of ``b``: stacks of
     (m_a, dof) and (m_b, dof) give an (m_a, m_b) matrix, and stacks of
     (k, m_a, dof) and (k, m_b, dof) give k such blocks, (k, m_a, m_b).
@@ -247,10 +232,10 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     for bit. Every call prices bands of rows of ``a``, one tile of about
     ``TILE_ENTRIES`` entries each (a block of one tile is one band), through
     two scratch tiles that every band reuses, so no metric holds an array with
-    a joint axis. Each band goes straight into its rows of the output; inside
-    :func:`folding`, into one reused tile handed to ``fold(top, tile)``, with
-    ``top`` its first row, and the call returns None. Every metric reads ``b``
-    from a joint-major copy, one contiguous column per joint, under the
+    a joint axis. Each band goes straight into its rows of the output; given the
+    keyword-only ``fold``, into one reused tile handed to ``fold(top, tile)``,
+    with ``top`` its first row, and the call returns None. Every metric reads
+    ``b`` from a joint-major copy, one contiguous column per joint, under the
     ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks and
     ``params`` disagree on the number of joints, or when that number is zero.
     """
@@ -259,7 +244,6 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     rows, cols = a.shape[-2], b.shape[-2]
     band = max(1, TILE_ENTRIES // max(1, math.prod(lead) * cols))
     b = np.moveaxis(np.ascontiguousarray(np.moveaxis(b, -1, 0)), 0, -1)[..., None, :, :]
-    fold = _FOLD.get()
     out = np.empty((*lead, min(band, rows) if fold else rows, cols))
     scratch = np.empty((2, *lead, min(band, rows), cols))
     saved = np.setbufsize(_PRICING_BUFFER)

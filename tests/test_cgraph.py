@@ -204,9 +204,9 @@ def _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params):
 
 
 def _counting_pairwise_cost(calls):
-    def counted(*args):
-        calls.append(args)
-        return metrics.pairwise_cost(*args)
+    def counted(*args, **kwargs):
+        calls.append(args)  # the positional arguments alone, as perfbench's tracer records them
+        return metrics.pairwise_cost(*args, **kwargs)
 
     return counted
 
@@ -275,6 +275,7 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
         assert len(calls) == 2 * graph.price_calls - 2  # the sweep kept no run for this read
         total, edges = path_cost(graph, swept.chosen)
         assert len(calls) == 3 * graph.price_calls - 4  # path_cost priced every run again
+    assert all(len(args) == 4 for args in calls)  # perfbench's call_counts unpacks four
     assert _bits(swept) == _bits(shortest_selection(kept))
     assert _bits(swept) == _bits(cgraph.SelectionResult(swept.chosen, total, edges))
     assert swept.total_cost == path_cost(kept, swept.chosen)[0]

@@ -16,7 +16,6 @@ from taskseq.metrics import (
     _trapezoid_kernel,
     default_weights,
     edge_cost,
-    folding,
     linear_interp_duration,
     max_joint_difference,
     pairwise_cost,
@@ -482,8 +481,10 @@ def test_folded_bands_are_the_unfolded_pricing_byte_for_byte(kind, tile):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "TILE_ENTRIES", tile)
             expected = pairwise_cost(kind, params, a, b)
-            with folding(lambda top, band: bands.append((top, band.copy()))):
-                assert pairwise_cost(kind, params, a, b) is None
+            fold = lambda top, band: bands.append((top, band.copy()))
+            assert pairwise_cost(kind, params, a, b, fold=fold) is None
+            with pytest.raises(TypeError, match="positional"):  # keyword-only: tracers record the four positional arguments
+                pairwise_cost(kind, params, a, b, fold)
             assert pairwise_cost(kind, params, a, b).tobytes() == expected.tobytes()  # unfolded again
         tops = [top for top, _ in bands]
         assert tops == [sum(band.shape[-2] for _, band in bands[:i]) for i in range(len(bands))]
@@ -495,11 +496,11 @@ def test_folded_bands_are_the_unfolded_pricing_byte_for_byte(kind, tile):
 def test_a_folded_call_checks_an_empty_stack_too(kind):
     params = MetricParams(weights=np.ones(3), vel_max=np.ones(3), acc_max=np.ones(3))
     bands = []
-    with folding(lambda top, band: bands.append((top, band.shape))):
-        with pytest.raises(ValueError, match="joint count mismatch"):
-            pairwise_cost(kind, params, np.empty((0, 2)), np.ones((3, 2)))
-        assert bands == []
-        assert pairwise_cost(kind, params, np.empty((0, 3)), np.ones((3, 3))) is None
+    fold = lambda top, band: bands.append((top, band.shape))
+    with pytest.raises(ValueError, match="joint count mismatch"):
+        pairwise_cost(kind, params, np.empty((0, 2)), np.ones((3, 2)), fold=fold)
+    assert bands == []
+    assert pairwise_cost(kind, params, np.empty((0, 3)), np.ones((3, 3)), fold=fold) is None
     assert bands == [(0, (0, 3))]
 
 

@@ -442,9 +442,9 @@ def test_a_wide_selection_holds_a_fraction_of_its_step_blocks(seed):
 def test_threads_that_solve_at_once_get_the_bits_of_solving_in_turn():
     """Four threads solve select-wide-shaped tasks at the same time, switching often. No
     reused buffer ever leaves ``metrics`` or the sweep: the scratch tiles belong to one
-    ``pairwise_cost`` call, the scores to one band of one sweep, and the fold that a
-    sweep hands ``pairwise_cost`` is held per thread, so no thread prices into, or
-    folds, another's bands."""
+    ``pairwise_cost`` call, the scores to one band of one sweep, and a sweep passes
+    its fold to each ``pairwise_cost`` call as an argument, so no thread prices into,
+    or folds, another's bands."""
     tasks = [generate_random_task(20, 400, seed, "explicit_ik") for seed in range(8)]
     config = PipelineConfig(metric=MetricKind.LINEAR_INTERP_DURATION)
 
