@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .kinematics import IkSolutionSet
-from .metrics import TILE_ENTRIES, MetricKind, MetricParams, pairwise_cost
+from .metrics import MetricKind, MetricParams, pairwise_cost
 from .model import Configuration, GuardError, index_tuple, ordered_sum
 
 #: Enumeration guard for the brute-force oracle (product of layer sizes).
@@ -78,14 +79,13 @@ def _price_runs(sizes) -> list[tuple[int, int]]:
     """``(first, stop)`` per pricing call: step blocks first..stop-1, in order.
 
     Consecutive blocks between layers of one size m form a run while the run
-    holds at most ``TILE_ENTRIES`` entries; every other block is a run of its
-    own, however wide.
+    holds at most ``metrics.TILE_ENTRIES`` entries, read once per call; every
+    other block is a run of its own, however wide.
     """
-    runs: list[tuple[int, int]] = []
-    for i in range(len(sizes) - 1):
-        m = sizes[i]
+    runs, tile = [], metrics.TILE_ENTRIES
+    for i, m in enumerate(sizes[:-1]):
         first = runs[-1][0] if runs else i
-        if runs and sizes[first] == m == sizes[i + 1] and (i + 1 - first) * m * m <= TILE_ENTRIES:
+        if runs and sizes[first] == m == sizes[i + 1] and (i + 1 - first) * m * m <= tile:
             runs[-1] = (first, i + 1)
         else:
             runs.append((i, i + 1))
@@ -141,7 +141,7 @@ def build_layered_graph(
     non-empty, and its (m, dof) array is the layer. Only the Start and Goal
     edges are priced here, one :func:`pairwise_cost` call each, under the
     selected metric; the step blocks are a :class:`StepBlocks` over the
-    layers, priced in tiles of about ``TILE_ENTRIES`` entries when read.
+    layers, priced in tiles of about ``metrics.TILE_ENTRIES`` entries when read.
     ``price_calls`` counts the two calls made here and the one per run that
     one read of the blocks makes.
     """

@@ -303,15 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_generate)
 
     def add_solve_flags(sub):
+        default = PipelineConfig()  # a config flag left out takes the library's default
         sub.add_argument("--task", required=True, help="input task file (JSON)")
-        sub.add_argument("--solver", choices=[k.value for k in SolverKind], default="two_opt")
-        sub.add_argument("--metric", choices=list(METRIC_CHOICES), default="max_joint_difference")
-        sub.add_argument("--step-size", default="pi/4", dest="step_size",
+        sub.add_argument("--solver", choices=[k.value for k in SolverKind],
+                         default=default.tsp_solver.value)
+        sub.add_argument("--metric", choices=list(METRIC_CHOICES), default=default.metric.value)
+        sub.add_argument("--step-size", default=repr(default.step_size), dest="step_size",
                          help="orientation grid step, e.g. 'pi/4' (must divide 2*pi)")
-        sub.add_argument("--restarts", type=_positive_int, default=1,
+        sub.add_argument("--restarts", type=_positive_int, default=default.rnn_restarts,
                          help="nearest-neighbor restarts (rnn solver); its time grows with them")
         depot = sub.add_mutually_exclusive_group()
-        depot.add_argument("--depot", dest="depot", action="store_true", default=True,
+        depot.add_argument("--depot", action="store_true", default=default.include_home_depot,
                            help="anchor the tour at the home position (default)")
         depot.add_argument("--no-depot", dest="depot", action="store_false")
 

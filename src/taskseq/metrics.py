@@ -29,11 +29,11 @@ import numpy as np
 
 from .model import Configuration, RobotModel
 
-#: Entries priced per numpy pass: small enough that a tile and its two
-#: scratch tiles, reused by every band of a call, stay in cache, large enough
-#: that the per-call overhead of numpy is paid rarely. Wider blocks are priced
-#: in row bands, each handed to the step-2 sweep's ``fold`` in turn; runs of smaller
-#: equal-size graph blocks are stacked up to it (see ``cgraph._price_runs`` and :class:`~taskseq.cgraph.StepBlocks`).
+#: Entries priced per numpy pass: small enough that a tile and its two scratch
+#: tiles, reused by every band of a call, stay in cache, large enough that the
+#: per-call overhead of numpy is paid rarely. Wider blocks are priced in row bands,
+#: each handed to the step-2 sweep's ``fold`` in turn. ``cgraph._price_runs`` stacks
+#: runs of smaller equal-size graph blocks up to it, reading this one binding per call.
 TILE_ENTRIES = 1 << 15
 
 #: numpy's ufunc buffer, in elements, while :func:`pairwise_cost` prices a

@@ -14,7 +14,6 @@ manipulability, and the exact joint optimum over every order and choice.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import time
@@ -31,15 +30,8 @@ from .tsp import SolverKind, TourKind, TourOrder
 #: Guard for the exact joint optimum: its DP prices 2^n * V^2 moves for n targets, V configurations.
 GTSP_GUARD_MOVES = 5 * 10**7
 
-#: Orientation step sizes swept by the discretization benchmark axis.
-STEP_SIZE_VARIANTS = (
-    ("pi", math.pi),
-    ("pi/2", math.pi / 2),
-    ("pi/3", math.pi / 3),
-    ("pi/4", math.pi / 4),
-    ("pi/6", math.pi / 6),
-    ("pi/12", math.pi / 12),
-)
+#: Orientation step sizes swept by the discretization benchmark axis: pi over each divisor.
+STEP_SIZE_VARIANTS = tuple(("pi" if k == 1 else f"pi/{k}", math.pi / k) for k in (1, 2, 3, 4, 6, 12))
 
 #: ``(label, value)`` pairs of each config field a benchmark axis sweeps, in run order.
 _SWEEPS = {
@@ -331,12 +323,12 @@ def instance_seed(seed: int, n: int, repeat: int) -> int:
 
 
 def _benchmark_variants(axis: str, config: PipelineConfig):
-    """(label, config, runner) triples for one benchmark axis."""
+    """(label, config, plan) triples for one benchmark axis; :func:`_run` runs each plan."""
     if axis in _SWEEPS:
-        return [(label, replace(config, **{axis: value}), solve_sequence)
+        return [(label, replace(config, **{axis: value}), _decoupled_plan)
                 for label, value in _SWEEPS[axis]]
     if axis == "method":
-        return [(label, config, functools.partial(_run, plan)) for plan, label in _METHODS.items()]
+        return [(label, config, plan) for plan, label in _METHODS.items()]
     raise ValueError(f"unknown benchmark axis {axis!r} (expected one of {BENCHMARK_AXES})")
 
 
@@ -362,13 +354,13 @@ def benchmark_run(
         for repeat in range(repeats):
             cell_seed = instance_seed(seed, n, repeat)
             task = generate_random_task(n, 1, cell_seed, mode="planar")
-            for label, variant_config, runner in _benchmark_variants(axis, config):
+            for label, variant_config, plan in _benchmark_variants(axis, config):
                 row = {
                     "axis": axis, "variant": label, "n": n,
                     "repeat": repeat, "seed": cell_seed,
                 }
                 try:
-                    result = runner(task, variant_config)
+                    result = _run(plan, task, variant_config)
                 except GuardError:
                     measured = dict.fromkeys(("total_ik", "edges"), 0)
                 else:

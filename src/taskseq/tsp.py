@@ -225,10 +225,11 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     Each walk appends its nearest unvisited node, the lowest index on ties (all at
     inf included); an unvisited NaN entry ranks first, as ``argmin`` ranks it. The
     walks share one numpy pick per step; each cycle is priced by :func:`tour_cost`.
-    The cheapest cycle wins, earlier starts winning ties.
+    The cheapest cycle wins, earlier starts winning ties. ``ValueError`` refuses
+    ``restarts`` outside [1, n] or not an integer (2.0 or "2"; numpy integers pass).
     """
     dm = _square_matrix(dm)
-    n = dm.shape[0]
+    n, restarts = dm.shape[0], index_tuple((restarts,), "restarts")[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
     current, visited = np.arange(restarts), np.eye(restarts, n, dtype=bool)

@@ -242,7 +242,6 @@ def test_tiled_pricing_equals_edge_cost_byte_for_byte(drawn):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "TILE_ENTRIES", tile)
-        patch.setattr(cgraph, "TILE_ENTRIES", tile)
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(home, sets, kind, params)
         assert len(calls) == 2  # the Start and Goal edges; the step blocks are priced when read
@@ -266,7 +265,6 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(metrics, "TILE_ENTRIES", tile)
-        patch.setattr(cgraph, "TILE_ENTRIES", tile)
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(home, sets, kind, params)
         swept = shortest_selection(graph)

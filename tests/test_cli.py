@@ -1,11 +1,18 @@
+import dataclasses
 import json
 import math
+import re
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from taskseq import cli
 from taskseq.cli import (
+    _config_from_args,
+    build_parser,
     main,
     parse_step_size,
     result_to_dict,
@@ -45,6 +52,25 @@ def test_parse_step_size():
     assert parse_step_size("pi") == math.pi
     assert parse_step_size("pi/4") == math.pi / 4
     assert parse_step_size("0.5") == 0.5
+
+
+@dataclasses.dataclass(frozen=True)
+class _OtherDefaults(PipelineConfig):
+    tsp_solver: SolverKind = SolverKind.RNN
+    metric: MetricKind = MetricKind.WEIGHTED_EUCLIDEAN
+    step_size: float = math.pi / 2
+    rnn_restarts: int = 3
+    include_home_depot: bool = False
+
+
+@pytest.mark.parametrize("command", [["solve", "--out", "r.json"], ["oracle", "--what", "step2"]])
+def test_config_flags_left_out_take_the_pipeline_config_defaults(monkeypatch, command):
+    argv = [*command, "--task", "t.json"]
+    assert _config_from_args(build_parser().parse_args(argv)) == PipelineConfig()
+    monkeypatch.setattr(cli, "PipelineConfig", _OtherDefaults)
+    other = _OtherDefaults()
+    assert all(getattr(other, f) != getattr(PipelineConfig(), f) for f in other.__dataclass_fields__)
+    assert _config_from_args(build_parser().parse_args(argv)) == other
 
 
 def test_step_size_dividing_by_zero_exits_1(tmp_path, capsys):
@@ -476,3 +502,19 @@ def test_task_file_with_wrong_field_type_exits_1(tmp_path, capsys, doc):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["solve", "--task", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_workflow_parses_and_its_embedded_python_compiles():
+    text = _WORKFLOW.read_text(encoding="utf-8")
+    bodies = re.findall(r"<<'PY'\n(.*?)\n[ \t]*PY[ \t]*$", text, flags=re.S | re.M)
+    assert bodies and len(bodies) == text.count("<<'PY'")
+    for body in bodies:
+        compile(textwrap.dedent(body), f"{_WORKFLOW.name} heredoc", "exec")
+    try:
+        import yaml
+    except ImportError:  # PyYAML is not a test dependency; the heredocs are checked anyway
+        return
+    assert yaml.safe_load(text)["jobs"]["tests"]["steps"]

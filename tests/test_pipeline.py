@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from taskseq import tsp
 from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
-from taskseq.cli import task_from_dict
+from taskseq.cli import parse_step_size, task_from_dict
 from taskseq.kinematics import IkSolutionSet, Pose2D, forward_kinematics, ik_3r, ik_pool
 from taskseq.metrics import MetricKind, MetricParams, default_weights
 from taskseq.model import (
@@ -561,6 +561,7 @@ def test_benchmark_axis_variants_keep_their_labels_order_and_field(axis):
     swept = [getattr(config, axis) for _, config, _ in variants]
     if axis == "step_size":
         assert swept == [math.pi, math.pi / 2, math.pi / 3, math.pi / 4, math.pi / 6, math.pi / 12]
+        assert swept == [parse_step_size(label) for label in _AXIS_VARIANTS[axis]]
     else:
         assert [value.value for value in swept] == list(_AXIS_VARIANTS[axis])
 

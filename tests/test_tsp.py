@@ -542,6 +542,10 @@ def test_rnn_validates_restarts():
         solve_rnn(dm, 0)
     with pytest.raises(ValueError):
         solve_rnn(dm, 5)
+    for restarts in (2.0, 2.5, "2"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            solve_rnn(dm, restarts)
+    assert solve_rnn(dm, np.int64(2)) == solve_rnn(dm, 2)
 
 
 def test_tour_cost_variants():
