@@ -27,7 +27,9 @@ import tempfile
 
 from .cgraph import brute_force_selection
 from .metrics import MetricKind, MetricParams
-from .model import GuardError, RobotModel, Task, TaskTarget, generate_random_task, validate_task
+from .model import (
+    GuardError, RobotModel, Task, TaskTarget, generate_random_task, index_tuple, validate_task,
+)
 from .pipeline import (
     BENCHMARK_AXES,
     BENCHMARK_FIELDS,
@@ -91,13 +93,6 @@ def task_to_dict(task: Task) -> dict:
     return {"robot": robot, "home": task.home.tolist(), "targets": targets}
 
 
-def _integer_field(value, name: str) -> int:
-    """A JSON integer; bools, strings and numbers written with a fraction are refused."""
-    if type(value) is not int:
-        raise ValueError(f"task file field {name!r} must be an integer, got {value!r}")
-    return value
-
-
 def task_from_dict(doc: dict) -> Task:
     """Parse and validate a task document; raises ValueError with all problems (never TypeError)."""
     if not isinstance(doc, dict):
@@ -108,7 +103,7 @@ def task_from_dict(doc: dict) -> Task:
     if not isinstance(home, list) or not isinstance(entries, list) or not entries:
         raise ValueError("task file needs a 'home' list and a non-empty 'targets' list")
     try:
-        dof = _integer_field(robot_doc["dof"], "dof")
+        dof = index_tuple((robot_doc["dof"],), "task file field 'dof'")[0]
         if dof != len(home):  # checked before the default limits allocate dof entries
             raise ValueError(f"home length mismatch: expected {dof}, got {len(home)}")
         # Limits default to 1 rad/s and 1 rad/s^2 per joint when the file omits them.
@@ -127,13 +122,7 @@ def task_from_dict(doc: dict) -> Task:
             position = entry.get("position")
             ik_solutions = entry.get("ik_solutions")
             styles.add((position is not None, ik_solutions is not None))
-            targets.append(
-                TaskTarget(
-                    id=_integer_field(entry["id"], "id"),
-                    position=position,
-                    ik_solutions=ik_solutions,
-                )
-            )
+            targets.append(TaskTarget(id=entry["id"], position=position, ik_solutions=ik_solutions))
         task = Task(robot=robot, home=home, targets=tuple(targets))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"task file has a field of the wrong type: {exc}") from exc

@@ -47,13 +47,17 @@ def ordered_sum(values) -> float:
 
 
 def index_tuple(values, what: str) -> tuple[int, ...]:
-    """``values`` by ``operator.index`` (numpy ints pass); ``ValueError`` names a float or a string."""
+    """``values`` as ints by the one rule for every count, index and id a caller passes:
+    ``operator.index`` (numpy integers pass), but no bool, Python's or numpy's.
+    ``ValueError`` names the first value refused: a bool, a float (2.0 too) or a string."""
     values = tuple(values)
     try:
-        return tuple(map(operator.index, values))
+        if bool not in set(map(type, values)):
+            return tuple(map(operator.index, values))
     except TypeError:
-        bad = next(v for v in values if not hasattr(type(v), "__index__"))
-        raise ValueError(f"{what} {bad!r} is not an integer") from None
+        pass
+    bad = next(v for v in values if isinstance(v, (bool, np.bool_)) or not hasattr(type(v), "__index__"))
+    raise ValueError(f"{what} {bad!r} is not an integer")
 
 
 class GuardError(RuntimeError):
@@ -187,17 +191,20 @@ def validate_task(task: Task) -> ValidationReport:
     """Collect every invariant violation in ``task``; an empty report means valid.
 
     Violations are returned as data rather than raised, so a caller can report
-    all problems of a malformed task file at once. Planar targets whose
-    position lies outside the arm's reachable annulus (for every tool
-    orientation) are flagged as unreachable; every target needs the position the
-    tour orders, and position-only targets need the 3-link arm the IK solves.
+    all problems of a malformed task file at once. A ``dof`` or target id that
+    :func:`index_tuple` refuses (a bool, 3.0) is reported; a refused ``dof`` ends
+    the report. Planar targets whose position lies outside the arm's reachable
+    annulus (for every tool orientation) are flagged as unreachable; every target
+    needs the position the tour orders, and position-only targets need the 3-link
+    arm the IK solves.
     """
     report: list = []
     robot = task.robot
-
-    if robot.dof < 1:
-        report.append(f"robot dof must be >= 1, got {robot.dof}")
-        return report
+    try:
+        if index_tuple((robot.dof,), "robot dof")[0] < 1:
+            return [f"robot dof must be >= 1, got {robot.dof}"]
+    except ValueError as exc:
+        return [str(exc)]
 
     _check_vector(report, robot.vel_max, "vel_max", robot.dof, positive=True)
     _check_vector(report, robot.acc_max, "acc_max", robot.dof, positive=True)
@@ -211,8 +218,11 @@ def validate_task(task: Task) -> ValidationReport:
         return report
 
     ids = [t.id for t in task.targets]
-    if ids != list(range(task.n)):
-        report.append(f"target ids must be 0..{task.n - 1} in list order, got {ids}")
+    try:
+        if index_tuple(ids, "target id") != tuple(range(task.n)):
+            report.append(f"target ids must be 0..{task.n - 1} in list order, got {ids}")
+    except ValueError as exc:
+        report.append(str(exc))
 
     for target in task.targets:
         name = f"target {target.id}"
@@ -267,12 +277,12 @@ def generate_random_task(n: int, m_max: int, seed: int, mode: str = "explicit_ik
     orientation grid downstream yields a full solution set. ``m_max`` is
     ignored in this mode (geometry fixes the solution count).
 
-    The result is a pure function of ``(n, m_max, seed, mode)``.
+    ``n`` and ``m_max`` are read by :func:`index_tuple` (numpy integers pass, a
+    bool or 2.5 is refused). The result is a pure function of ``(n, m_max, seed, mode)``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    for name, value in (("n", n), ("m_max", m_max)):
+        if index_tuple((value,), name)[0] < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
 
     if mode == "explicit_ik":

@@ -15,7 +15,6 @@ manipulability, and the exact joint optimum over every order and choice.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import cgraph, tsp
 from .kinematics import IK_COUNTERS, IkSolutionSet, ik_pool, manipulability, theta_grid
 from .metrics import MetricKind, MetricParams, _price, pairwise_cost
-from .model import GuardError, Task, generate_random_task, ordered_sum
+from .model import GuardError, Task, generate_random_task, index_tuple, ordered_sum
 from .tsp import SolverKind, TourKind, TourOrder
 
 #: Guard for the exact joint optimum: its DP prices 2^n * V^2 moves for n targets, V configurations.
@@ -52,7 +51,7 @@ BENCHMARK_FIELDS = (
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs of the pipeline: tour solver, edge metric, orientation grid, start
-    nodes of the ``rnn`` solver, depot."""
+    nodes of the ``rnn`` solver (read by :func:`~taskseq.model.index_tuple`), depot."""
 
     tsp_solver: SolverKind = SolverKind.TWO_OPT
     metric: MetricKind = MetricKind.MAX_JOINT_DIFFERENCE
@@ -65,10 +64,10 @@ class PipelineConfig:
         object.__setattr__(self, "metric", MetricKind(self.metric))
         theta_grid(self.step_size)  # refuses a step that is not a real number dividing 2*pi
         object.__setattr__(self, "step_size", float(self.step_size))
-        restarts = self.rnn_restarts
-        if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
+        restarts = index_tuple((self.rnn_restarts,), "rnn_restarts")[0]
+        if restarts < 1:
             raise ValueError(f"rnn_restarts must be an integer of at least 1, got {restarts!r}")
-        object.__setattr__(self, "rnn_restarts", int(restarts))
+        object.__setattr__(self, "rnn_restarts", restarts)
         if not isinstance(self.include_home_depot, bool):
             raise ValueError(f"include_home_depot must be a bool, got {self.include_home_depot!r}")
 
@@ -350,8 +349,8 @@ def benchmark_run(
     """
     config = config or PipelineConfig()
     rows = []
-    for n in sizes:
-        for repeat in range(repeats):
+    for n in index_tuple(sizes, "instance size"):
+        for repeat in range(index_tuple((repeats,), "repeats")[0]):
             cell_seed = instance_seed(seed, n, repeat)
             task = generate_random_task(n, 1, cell_seed, mode="planar")
             for label, variant_config, plan in _benchmark_variants(axis, config):

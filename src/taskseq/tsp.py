@@ -226,7 +226,7 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     inf included); an unvisited NaN entry ranks first, as ``argmin`` ranks it. The
     walks share one numpy pick per step; each cycle is priced by :func:`tour_cost`.
     The cheapest cycle wins, earlier starts winning ties. ``ValueError`` refuses
-    ``restarts`` outside [1, n] or not an integer (2.0 or "2"; numpy integers pass).
+    ``restarts`` outside [1, n] or refused by :func:`~taskseq.model.index_tuple` (a bool, 2.0, "2").
     """
     dm = _square_matrix(dm)
     n, restarts = dm.shape[0], index_tuple((restarts,), "restarts")[0]
@@ -505,6 +505,7 @@ def open_order_from_cycle(cycle: TourOrder, depot: int) -> TourOrder:
     """
     if not cycle.closed:
         raise ValueError("open_order_from_cycle needs a closed cycle")
+    depot = index_tuple((depot,), "depot")[0]
     if depot not in cycle.order:
         raise ValueError(f"depot {depot} not in cycle {cycle.order}")
     position = cycle.order.index(depot)

@@ -1,5 +1,6 @@
 import json
 import pydoc
+import re
 import types
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import taskseq
+from taskseq.cgraph import build_layered_graph, path_cost
+from taskseq.cli import task_from_dict, task_to_dict
 from taskseq.kinematics import IkSolutionSet
+from taskseq.metrics import MetricKind, MetricParams
 from taskseq.model import (
     RobotModel,
     Task,
@@ -17,6 +21,8 @@ from taskseq.model import (
     planar_arm,
     validate_task,
 )
+from taskseq.pipeline import PipelineConfig, benchmark_run
+from taskseq.tsp import TourOrder, open_order_from_cycle, solve_rnn
 
 
 def _task_fingerprint(task):
@@ -317,3 +323,63 @@ def test_the_package_exports_its_api_and_no_module():
     }
     assert readme_entry_points <= set(star)
     assert "solve_sequence(" in pydoc.render_doc(taskseq, renderer=pydoc.plaintext)
+
+
+def _two_joint_doc(dof=2, third_id=2):
+    """A valid task document with three explicit two-joint targets."""
+    targets = [{"id": i, "position": [0.1 * i, 0.2], "ik_solutions": [[0.1 * i, 0.3]]}
+               for i in range(3)]
+    targets[2]["id"] = third_id
+    return {"robot": {"dof": dof}, "home": [0.0, 0.0], "targets": targets}
+
+
+def _validated(doc):
+    """``validate_task`` of the document's task built in Python; a report raises."""
+    robot = RobotModel(dof=doc["robot"]["dof"], vel_max=[1.0, 1.0], acc_max=[1.0, 1.0])
+    task = Task(robot=robot, home=doc["home"], targets=[TaskTarget(**t) for t in doc["targets"]])
+    report = validate_task(task)
+    if report:
+        raise ValueError("; ".join(report))
+    return report
+
+
+def _path_cost(choice):
+    layer = IkSolutionSet(target_id=0, solutions=[[0.0], [0.5], [1.5]])
+    params = MetricParams(np.ones(1), np.ones(1), np.ones(1))
+    return path_cost(build_layered_graph(np.zeros(1), [layer], MetricKind.MAX_JOINT_DIFFERENCE, params),
+                     (choice,))
+
+
+def _benchmark_cells(**kwargs):
+    """The cells of a step-size sweep's rows, less their wall-clock timings."""
+    rows = benchmark_run("step_size", seed=1, **kwargs)
+    return [(row["variant"], row["n"], row["repeat"], row["seed"], row["step2_cost"]) for row in rows]
+
+
+#: Each entry point that reads a caller's integer, as a call of that integer where 2 is valid.
+_INTEGER_ENTRY_POINTS = {
+    "TourOrder": lambda v: TourOrder((0, 1, v)),
+    "open_order_from_cycle": lambda v: open_order_from_cycle(TourOrder((0, 1, 2, 3)), v),
+    "path_cost": _path_cost,
+    "solve_rnn": lambda v: solve_rnn(np.ones((3, 3)) - np.eye(3), v),
+    "PipelineConfig": lambda v: PipelineConfig(rnn_restarts=v),
+    "task_from_dict-dof": lambda v: task_to_dict(task_from_dict(_two_joint_doc(dof=v))),
+    "task_from_dict-id": lambda v: task_to_dict(task_from_dict(_two_joint_doc(third_id=v))),
+    "validate_task-dof": lambda v: _validated(_two_joint_doc(dof=v)),
+    "validate_task-id": lambda v: _validated(_two_joint_doc(third_id=v)),
+    "generate_random_task-n": lambda v: _task_fingerprint(generate_random_task(v, 3, seed=1)),
+    "generate_random_task-m_max": lambda v: _task_fingerprint(generate_random_task(3, v, seed=1)),
+    "benchmark_run-sizes": lambda v: _benchmark_cells(sizes=[v]),
+    "benchmark_run-repeats": lambda v: _benchmark_cells(sizes=[2], repeats=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2"], ids=repr)
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRY_POINTS))
+def test_every_integer_a_caller_passes_follows_one_rule(entry, value):
+    # The rule is model.index_tuple's: a numpy integer passes as the int it equals;
+    # a bool (Python's or numpy's), a float (2.0 too) and a string are refused by name.
+    call = _INTEGER_ENTRY_POINTS[entry]
+    assert call(np.int64(2)) == call(2)
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import sys
@@ -569,3 +570,30 @@ def test_benchmark_axis_variants_keep_their_labels_order_and_field(axis):
 def test_benchmark_rejects_unknown_axis():
     with pytest.raises(ValueError):
         benchmark_run("nope", sizes=[4])
+
+
+def test_explicit_solves_keep_their_bits():
+    """One sha256 over the outputs of explicit-IK solves, floats as ``float.hex``.
+
+    It covers every metric, three methods and seeds 1-3: ``decoupled`` at n = 12
+    under each tour solver (``rnn`` with 3 restarts), ``cspace_tsp`` at m_max 1 (one
+    configuration per target, so no manipulability rank) and ``gtsp_exact`` at
+    n = 6. Explicit tasks draw from the seeded generator alone and every distance
+    is a sum, product or square root, so no libm call and no tied distance enters;
+    the digest was taken on CPython 3.11 with numpy 2.4. A change that moves a bit
+    on purpose updates the digest and names the outputs that moved.
+    """
+    digest = hashlib.sha256()
+    methods = (*((solve_sequence, 12, 4, solver) for solver in SolverKind),
+               (baseline_cspace_tsp, 12, 1, SolverKind.TWO_OPT),
+               (baseline_gtsp_exact, 6, 3, SolverKind.TWO_OPT))
+    for seed, metric, (method, n, m_max, solver) in itertools.product((1, 2, 3), MetricKind, methods):
+        config = PipelineConfig(tsp_solver=solver, metric=metric, rnn_restarts=3)
+        result = method(generate_random_task(n, m_max, seed), config)
+        selection = result.selection
+        floats = (selection.total_cost, *selection.per_edge_costs, result.step1_cost,
+                  result.schedule_duration)
+        record = (result.order.order, selection.chosen, tuple(map(float.hex, floats)),
+                  sorted(result.counts.items()))
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "afc6bc8213c7ccc18ac761cb04bc993c7525d12f46626e89e8f48c3d7e9dc78b"
