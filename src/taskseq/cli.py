@@ -72,25 +72,16 @@ def parse_step_size(text: str) -> float:
 # Task / result file formats
 
 
+def _set_fields(value) -> dict:
+    """The fields of a dataclass that are not None, in field order; arrays as lists."""
+    fields = ((field.name, getattr(value, field.name)) for field in dataclasses.fields(value))
+    return {name: v.tolist() if hasattr(v, "tolist") else v for name, v in fields if v is not None}
+
+
 def task_to_dict(task: Task) -> dict:
-    robot: dict = {
-        "dof": task.robot.dof,
-        "vel_max": task.robot.vel_max.tolist(),
-        "acc_max": task.robot.acc_max.tolist(),
-    }
-    if task.robot.weights is not None:
-        robot["weights"] = task.robot.weights.tolist()
-    if task.robot.planar_links is not None:
-        robot["planar_links"] = task.robot.planar_links.tolist()
-    targets = []
-    for target in task.targets:
-        entry: dict = {"id": target.id}
-        if target.position is not None:
-            entry["position"] = target.position.tolist()
-        if target.ik_solutions is not None:
-            entry["ik_solutions"] = target.ik_solutions.tolist()
-        targets.append(entry)
-    return {"robot": robot, "home": task.home.tolist(), "targets": targets}
+    """The task document that :func:`task_from_dict` reads back."""
+    targets = [_set_fields(target) for target in task.targets]
+    return {"robot": _set_fields(task.robot), "home": task.home.tolist(), "targets": targets}
 
 
 def task_from_dict(doc: dict) -> Task:

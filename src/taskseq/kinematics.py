@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, Configuration, RobotModel, _configurations
+from .model import TWO_PI, Configuration, RobotModel, _configurations, _vector
 
 #: Two joint vectors closer than this in max-norm are the same solution.
 DUPLICATE_TOL = 1e-9
@@ -86,18 +86,18 @@ def _links(arm: RobotModel) -> np.ndarray:
     return arm.planar_links
 
 
-def _chain(arm: RobotModel, q: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """The links of the planar chain and the absolute angle q_1+..+q_j of each link."""
+def _chain(arm: RobotModel, q) -> tuple[np.ndarray, np.ndarray]:
+    """The links of the planar chain and each link's absolute angle q_1+..+q_j, over a (..., dof) stack."""
     links = _links(arm)
-    q = np.asarray(q, dtype=float)
-    if q.size != links.size:
-        raise ValueError(f"configuration length {q.size} != dof {links.size}")
-    return links, np.cumsum(q)
+    q = _vector(q)
+    if q.shape[-1] != links.size:
+        raise ValueError(f"configuration length {q.shape[-1]} != dof {links.size}")
+    return links, np.cumsum(q, axis=-1)
 
 
 def forward_kinematics(arm: RobotModel, q: Configuration) -> Pose2D:
     """End-effector pose of the planar chain: x = sum L_j cos(q_1+..+q_j), etc."""
-    links, angles = _chain(arm, q)
+    links, angles = _chain(arm, np.ravel(q))
     x = float(np.sum(links * np.cos(angles)))
     y = float(np.sum(links * np.sin(angles)))
     return Pose2D(x=x, y=y, theta=wrap_angle(float(angles[-1])))
@@ -239,19 +239,22 @@ def ik_targets(
     return IkSolutionSet(target_id=target_id, solutions=solutions)
 
 
-def jacobian(arm: RobotModel, q: Configuration) -> np.ndarray:
-    """Analytic 2 x dof position Jacobian of the planar chain."""
+def jacobian(arm: RobotModel, q) -> np.ndarray:
+    """Analytic 2 x dof position Jacobian of the planar chain; a (..., dof) stack
+    gives a (..., 2, dof) stack, each Jacobian with the bits of its own call."""
     links, angles = _chain(arm, q)
     sines = links * np.sin(angles)
     cosines = links * np.cos(angles)
     # Column j sums contributions of all links at or beyond joint j.
-    dx = -np.cumsum(sines[::-1])[::-1]
-    dy = np.cumsum(cosines[::-1])[::-1]
-    return np.vstack([dx, dy])
+    dx = -np.cumsum(sines[..., ::-1], axis=-1)[..., ::-1]
+    dy = np.cumsum(cosines[..., ::-1], axis=-1)[..., ::-1]
+    return np.stack([dx, dy], axis=-2)
 
 
-def manipulability(arm: RobotModel, q: Configuration) -> float:
-    """Yoshikawa measure sqrt(det(J J^T)); zero at kinematic singularities."""
+def manipulability(arm: RobotModel, q):
+    """Yoshikawa measure sqrt(det(J J^T)), zero at kinematic singularities; a (..., dof)
+    stack gives each configuration's measure with the bits of its own call."""
     jac = jacobian(arm, q)
-    det = float(np.linalg.det(jac @ jac.T))
-    return math.sqrt(max(det, 0.0))
+    with np.errstate(divide="ignore"):  # LU meets a zero pivot when J J^T holds subnormals
+        det = np.linalg.det(jac @ np.swapaxes(jac, -1, -2))
+    return np.sqrt(np.maximum(det, 0.0))

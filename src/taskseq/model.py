@@ -277,12 +277,12 @@ def generate_random_task(n: int, m_max: int, seed: int, mode: str = "explicit_ik
     orientation grid downstream yields a full solution set. ``m_max`` is
     ignored in this mode (geometry fixes the solution count).
 
-    ``n`` and ``m_max`` are read by :func:`index_tuple` (numpy integers pass, a
-    bool or 2.5 is refused). The result is a pure function of ``(n, m_max, seed, mode)``.
+    ``n``, ``m_max`` and ``seed`` (which may be 0) are read by :func:`index_tuple`
+    (a bool or 2.5 is refused). The result is a pure function of ``(n, m_max, seed, mode)``.
     """
-    for name, value in (("n", n), ("m_max", m_max)):
-        if index_tuple((value,), name)[0] < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, low in (("n", n, 1), ("m_max", m_max, 1), ("seed", seed, 0)):
+        if index_tuple((value,), name)[0] < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     rng = np.random.default_rng(seed)
 
     if mode == "explicit_ik":

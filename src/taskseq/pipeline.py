@@ -1,9 +1,9 @@
 """Three-stage sequencing pipeline, comparison baselines, and benchmark harness.
 
 Each method is only its step-1 plan: a visiting order, its task-space cost
-and, optionally, a frozen configuration per target. One driver runs the rest
-for every method: IK, (2) one configuration per target by the shortest path
-through the layered graph of the order, or the frozen choice priced in it,
+and, for a reference method, the selection its own matrix priced on the way.
+One driver runs the rest for every method: IK, (2) the layered graph of the
+order and, unless the plan brought a selection, its shortest path,
 (3) the time-parameterization of that sequence, the stage clock and counters.
 Stage 3 uses straight joint-space segments under trapezoidal speed profiles:
 an obstacle-free surrogate for full motion planning, labeled as such in all
@@ -146,16 +146,12 @@ def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]
     """
     chosen = []
     for entry in ik_sets:
-        if entry.count == 1:
-            chosen.append(0)
-            continue
-        if not task.robot.is_planar:
+        if entry.count > 1 and not task.robot.is_planar:
             raise ValueError(
                 f"target {entry.target_id} has {entry.count} configurations but the "
                 f"robot has no planar arm to rank them by manipulability"
             )
-        scores = np.array([manipulability(task.robot, q) for q in entry.solutions])
-        chosen.append(int(np.argmax(scores)))
+        chosen.append(int(np.argmax(manipulability(task.robot, entry.solutions))) if entry.count > 1 else 0)
     return chosen
 
 
@@ -174,11 +170,16 @@ def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tup
     return cycle, TourOrder(cycle.order, TourKind.OPEN_PATH)
 
 
-def _task_space_cycle_cost(task: Task, order: TourOrder, include_home_depot: bool) -> float:
-    """Task-space cycle cost of a visiting order."""
-    dm = tsp.build_task_distance_matrix(task, include_home_depot)
-    nodes = tuple(order.order) + ((task.n,) if include_home_depot else ())
-    return tsp.tour_cost(dm, TourOrder(nodes, TourKind.CLOSED_CYCLE))
+def _walk_result(task, config, order: TourOrder, dm: np.ndarray, walk, chosen):
+    """A reference plan's ``(order, step1_cost, selection)``. The step-1 cost is the
+    task-space cycle cost of ``order``. The selection is ``chosen``, whose Start->Goal
+    path is the node ``walk`` of ``dm``: its moves are read from ``dm`` and added by
+    ``ordered_sum``, as ``cgraph.path_cost`` adds them."""
+    task_dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
+    cycle = tuple(order.order) + ((task.n,) if config.include_home_depot else ())
+    edges = dm[walk[:-1], walk[1:]].tolist()
+    selection = cgraph.SelectionResult(tuple(chosen), ordered_sum(edges), tuple(edges))
+    return order, tsp.tour_cost(task_dm, TourOrder(cycle, TourKind.CLOSED_CYCLE)), selection
 
 
 def _decoupled_plan(task, config, params, ik_sets, work):
@@ -189,20 +190,20 @@ def _decoupled_plan(task, config, params, ik_sets, work):
 
 
 def _frozen_tour_plan(task, config, params, ik_sets, work):
-    """Freeze the best-manipulability configuration per target, then tour the
-    frozen configurations under the configured metric (home as a depot node)."""
+    """Freeze the best-manipulability configuration per target, then tour the frozen
+    configurations under the configured metric. Home, the matrix's last node, is a
+    depot node of the tour only when the depot is on, and always the walk's ends."""
     fixed = manipulability_choice(task, ik_sets)
-    nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
-    if config.include_home_depot:
-        nodes.append(task.home)
-    _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), task, config, work)
-    step1_cost = _task_space_cycle_cost(task, order, config.include_home_depot)
-    return order, step1_cost, tuple(fixed[t] for t in order.order)
+    nodes = [*(entry.solutions[c] for entry, c in zip(ik_sets, fixed)), task.home]
+    dm = pairwise_cost(config.metric, params, nodes, nodes)
+    _, order = _tour(dm if config.include_home_depot else dm[:-1, :-1], task, config, work)
+    walk = [task.n, *order.order, task.n]
+    return _walk_result(task, config, order, dm, walk, [fixed[t] for t in order.order])
 
 
 def _joint_plan(task, config, params, ik_sets, work):
     """Step 1 of the joint optimum: the guard, then the subset DP over every order
-    and configuration; step 2 only prices the walk in the graph of its order."""
+    and configuration; the selection reads the walk's moves from the DP's matrix."""
     sizes = [s.count for s in ik_sets]
     moves = (1 << task.n) * sum(sizes) ** 2
     if moves > GTSP_GUARD_MOVES:
@@ -218,8 +219,8 @@ def _joint_plan(task, config, params, ik_sets, work):
     target = np.repeat(np.arange(task.n), sizes)  # of each configuration, node v + 1
     _, walk = tsp._cluster_walk(dm, target)
     order = TourOrder(target[walk], TourKind.OPEN_PATH)
-    chosen = tuple((walk - bounds[target[walk] + 1] + 1).tolist())  # node less its block's first
-    return order, _task_space_cycle_cost(task, order, config.include_home_depot), chosen
+    chosen = (walk - bounds[target[walk] + 1] + 1).tolist()  # node less its block's first
+    return _walk_result(task, config, order, dm, [0, *(v + 1 for v in walk), 0], chosen)
 
 
 #: Each method's label, by its step-1 plan, in the order the ``method`` benchmark axis runs them.
@@ -230,11 +231,11 @@ def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     """Run one method: IK, its step-1 ``plan``, the selection (step 2), the schedule (step 3).
 
     ``plan(task, config, params, ik_sets, work)`` is step 1: it returns
-    ``(order, step1_cost, chosen)``, and step 1's clock stops when it returns.
-    Step 2 takes the shortest selection in the layered graph of ``order``, or
-    prices ``chosen`` there when it is not None. ``work`` holds the IK and tour
-    counters; the tour counters stay zero unless the plan runs 2-opt. A task
-    with no targets is refused before IK.
+    ``(order, step1_cost, selection)``, and step 1's clock stops when it returns.
+    Step 2 builds the layered graph of ``order``, whose sizes the counts report,
+    and takes its shortest selection when the plan's is None. ``work`` holds the
+    IK and tour counters; the tour counters stay zero unless the plan runs 2-opt.
+    A task with no targets is refused before IK.
     """
     if not task.targets:
         raise ValueError("task must contain at least one target")
@@ -245,14 +246,11 @@ def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     ik_sets = resolve_ik_sets(task, config.step_size, stats=work)
     ik_end = time.perf_counter()
     work.update(dict.fromkeys(tsp.TOUR_COUNTERS, 0))
-    order, step1_cost, chosen = plan(task, config, params, ik_sets, work)
+    order, step1_cost, selection = plan(task, config, params, ik_sets, work)
     step1_end = time.perf_counter()
     ordered = [ik_sets[t] for t in order.order]
     graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-    if chosen is None:
-        selection = cgraph.shortest_selection(graph)
-    else:
-        selection = cgraph.SelectionResult(chosen, *cgraph.path_cost(graph, chosen))
+    selection = selection or cgraph.shortest_selection(graph)
     step2_end = time.perf_counter()
 
     configurations = [entry.solutions[c] for entry, c in zip(ordered, selection.chosen)]
@@ -297,9 +295,10 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
 
     Per target the configuration with the best manipulability wins; the tour
     is then solved over the frozen configurations with the configured metric
-    as edge length (home added as a depot node when enabled). The reported
-    selection prices the frozen assignment in the same layered graph the main
-    pipeline uses, so the two step-2 costs are directly comparable.
+    as edge length (home added as a depot node when enabled). The selection's
+    edges are the tour's moves from home to home, read from that matrix: they
+    have the bits of ``path_cost`` in the layered graph of the order, so the
+    step-2 costs of all methods compare directly.
     """
     return _run(_frozen_tour_plan, task, config)
 
@@ -308,8 +307,8 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     """Gold standard: exact minimum over every order and configuration choice.
 
     A generalized TSP, one cluster per target, solved by the subset DP of
-    :func:`tsp._cluster_walk`; the step-2 cost is ``path_cost`` of the optimal
-    walk in the layered graph of its order. Ties go to the lowest last
+    :func:`tsp._cluster_walk`; the optimal walk's edges are read from the DP's
+    matrix, with the bits of ``path_cost`` in the graph of its order. Ties go to the lowest last
     configuration, then the lowest predecessor of each, by (target id, index).
     Refused before any pricing when 2^n V^2 moves (V configurations) exceed the guard.
     """
@@ -345,9 +344,13 @@ def benchmark_run(
     are comparable per instance. A variant whose guard refuses an instance
     contributes a flagged row (nan metrics) instead of crashing the run.
     Rows come back sorted by (variant, n, repeat); timings are wall-clock
-    milliseconds and are the only non-deterministic fields.
+    milliseconds and are the only non-deterministic fields. Sizes, ``repeats``
+    and ``seed`` (0 or more) are read by :func:`~taskseq.model.index_tuple`.
     """
     config = config or PipelineConfig()
+    seed = index_tuple((seed,), "seed")[0]
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rows = []
     for n in index_tuple(sizes, "instance size"):
         for repeat in range(index_tuple((repeats,), "repeats")[0]):

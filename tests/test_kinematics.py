@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskseq import kinematics
 from taskseq.kinematics import (
@@ -208,6 +208,22 @@ def test_manipulability_against_finite_difference_jacobian():
     fd = _fd_jacobian(ARM, q)
     expected = math.sqrt(np.linalg.det(fd @ fd.T))
     assert manipulability(ARM, q) == pytest.approx(expected, rel=1e-6)
+
+
+_JOINT = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]), st.floats(-4.0, 4.0))  # straight and folded too
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(_JOINT, _JOINT, _JOINT), min_size=1, max_size=30),
+       links=st.sampled_from([(1.0, 1.0, 1.0), (1.0, 0.8, 0.5)]))
+@example(rows=[(0.0, 0.0, 2.225073858507e-311)], links=(1.0, 1.0, 1.0))  # det meets a zero pivot
+def test_a_stack_of_configurations_has_the_bits_of_one_call_per_row(rows, links):
+    # manipulability_choice ranks a target's configurations in one call.
+    arm, stack = planar_arm(links), np.array(rows)
+    jac, measure = jacobian(arm, stack), manipulability(arm, stack)
+    assert (jac.shape, measure.shape) == ((len(rows), 2, 3), (len(rows),))
+    assert jac.tobytes() == np.array([jacobian(arm, q) for q in stack]).tobytes()
+    assert measure.tobytes() == np.array([manipulability(arm, q) for q in stack]).tobytes()
 
 
 def _ik_targets_by_scan(arm, target, step):

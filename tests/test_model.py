@@ -302,6 +302,9 @@ def test_generator_rejects_bad_arguments():
         generate_random_task(1, 0, seed=0)
     with pytest.raises(ValueError):
         generate_random_task(1, 1, seed=0, mode="nope")
+    for call in (lambda seed: generate_random_task(1, 1, seed), _benchmark_cells):
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            call(seed=-1)
 
 
 def test_ordered_sum_adds_left_to_right_without_compensation():
@@ -350,9 +353,9 @@ def _path_cost(choice):
                      (choice,))
 
 
-def _benchmark_cells(**kwargs):
+def _benchmark_cells(seed=1, sizes=(2,), **kwargs):
     """The cells of a step-size sweep's rows, less their wall-clock timings."""
-    rows = benchmark_run("step_size", seed=1, **kwargs)
+    rows = benchmark_run("step_size", seed=seed, sizes=sizes, **kwargs)
     return [(row["variant"], row["n"], row["repeat"], row["seed"], row["step2_cost"]) for row in rows]
 
 
@@ -369,8 +372,10 @@ _INTEGER_ENTRY_POINTS = {
     "validate_task-id": lambda v: _validated(_two_joint_doc(third_id=v)),
     "generate_random_task-n": lambda v: _task_fingerprint(generate_random_task(v, 3, seed=1)),
     "generate_random_task-m_max": lambda v: _task_fingerprint(generate_random_task(3, v, seed=1)),
+    "generate_random_task-seed": lambda v: _task_fingerprint(generate_random_task(3, 3, seed=v)),
     "benchmark_run-sizes": lambda v: _benchmark_cells(sizes=[v]),
     "benchmark_run-repeats": lambda v: _benchmark_cells(sizes=[2], repeats=v),
+    "benchmark_run-seed": lambda v: _benchmark_cells(seed=v),
 }
 
 

@@ -351,6 +351,36 @@ def test_every_method_prices_its_choice_in_the_graph_of_its_order(runner, mode, 
                                               graph.step_cost_bytes, graph.price_calls)
 
 
+#: Mode, m_max and grid step of each reference-method case: planar grids of 4 and 8 orientations,
+#: where manipulability ranks up to 8 and 16 configurations per target, and explicit tasks.
+_REFERENCE_CASES = {
+    "planar-pi/2": ("planar", 1, math.pi / 2),
+    "planar-pi/4": ("planar", 1, math.pi / 4),
+    "explicit": ("explicit_ik", 3, math.pi / 4),
+}
+
+
+@pytest.mark.parametrize("depot", [True, False])
+@pytest.mark.parametrize("solver", list(SolverKind))
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+@pytest.mark.parametrize("runner", [baseline_cspace_tsp, baseline_gtsp_exact])
+def test_a_reference_selection_has_the_bits_of_path_cost_in_the_graph_of_its_order(runner, case, solver, depot):
+    # Each reference plan reads its walk's moves from the matrix it solved over.
+    mode, m_max, step = _REFERENCE_CASES[case]
+    m_max = 1 if runner is baseline_cspace_tsp else m_max
+    for seed, metric in itertools.product((1, 2), MetricKind):
+        task = generate_random_task(4, m_max, seed=seed, mode=mode)
+        config = PipelineConfig(tsp_solver=solver, metric=metric, step_size=step, rnn_restarts=3,
+                                include_home_depot=depot)
+        result = runner(task, config)
+        ik_sets = resolve_ik_sets(task, step)
+        graph = build_layered_graph(task.home, [ik_sets[t] for t in result.order.order], metric,
+                                    MetricParams.from_robot(task.robot))
+        total, edges = path_cost(graph, result.selection.chosen)
+        selection = (result.selection.total_cost, *result.selection.per_edge_costs)
+        assert list(map(float.hex, selection)) == list(map(float.hex, (total, *edges)))
+
+
 @pytest.mark.parametrize("restarts", [0, -3, 2.5, True])
 def test_config_refuses_rnn_restarts_that_are_not_a_positive_integer(restarts):
     with pytest.raises(ValueError, match="rnn_restarts"):
