@@ -187,26 +187,28 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
 
     The graph is layered and acyclic, so one backward sweep over the step
     blocks computes every vertex's cost-to-Goal and records, per layer, each
-    vertex's lowest-index successor on a minimal path and that edge's cost.
-    It folds a band of rows at a time: one :func:`pairwise_cost` call per
-    :class:`StepBlocks` run prices them into a reused tile, handed to its
-    ``fold`` keyword, so it holds one band, never a block (a tuple's blocks
-    fold whole); a row's minimum lies in its band, so the tile moves no bit.
-    A forward walk from the lowest-index best first vertex follows the
-    successors, so the selection is the lexicographically smallest of all
-    optima; its recorded edge costs are added as :func:`path_cost` adds them,
-    so no block is read twice.
+    vertex's lowest-index successor on a minimal path. It folds a band of
+    rows at a time: one :func:`pairwise_cost` call per :class:`StepBlocks`
+    run prices them into a reused tile, handed to its ``fold`` keyword, which
+    adds the cost-to-Goal row into the tile in place, so it holds one band,
+    never a block (a tuple's blocks fold whole, each from a copy); a row's
+    minimum lies in its band, so the tile moves no bit. A forward walk from
+    the lowest-index best first vertex follows the successors, so the
+    selection is the lexicographically smallest of all optima. The sweep
+    prices each block once; the walk's step moves are then priced again by
+    one :func:`metrics._price` call, the same per-entry chain (a tuple's are
+    read from its blocks), and added as :func:`path_cost` adds its edges.
     """
-    # Per layer, each vertex's (lowest-index successor, cost to Goal, edge cost to that successor).
-    tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs, None)]
+    # Per layer, each vertex's (lowest-index successor, cost to Goal).
+    tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs)]
 
     def fold(first: int, top: int, tile) -> None:
-        """Rows top.. of blocks first, first + 1, ... of ``tile``, the last block first."""
+        """Rows top.. of blocks first, first + 1, ... of ``tile``, last block first, in place."""
         run = tile.reshape(-1, *tile.shape[-2:])
-        summed, rows = np.empty(run.shape[1:]), np.arange(run.shape[1])
+        starts = np.arange(0, run[0].size, run.shape[2])  # each row's first entry, flat
         for i in reversed(range(first, first + len(run))):
-            best = np.add(run[i - first], tails[i + 1][1], out=summed).argmin(axis=1)
-            new = best, summed[rows, best], run[i - first][rows, best]
+            best = np.add(run[i - first], tails[i + 1][1], out=run[i - first]).argmin(axis=1)
+            new = best, run[i - first].take(best + starts)
             tails[i] = tuple(map(np.concatenate, zip(tails[i], new))) if top else new
 
     blocks = graph.step_costs
@@ -216,12 +218,16 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
                           fold=functools.partial(fold, first))
     else:
         for i in reversed(range(len(blocks))):
-            fold(i, 0, blocks[i])
+            fold(i, 0, np.array(blocks[i], dtype=float))
 
-    chosen, steps = [int(np.argmin(graph.start_costs + tails[0][1]))], []
-    for successor, _, cost in tails[:-1]:
-        steps.append(cost[chosen[-1]])
+    chosen = [int(np.argmin(graph.start_costs + tails[0][1]))]
+    for successor, _ in tails[:-1]:
         chosen.append(int(successor[chosen[-1]]))
+    if isinstance(blocks, StepBlocks):
+        path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
+        steps = metrics._price(blocks.kind, blocks.params, path[:-1], path[1:])
+    else:
+        steps = (b[i, j] for b, i, j in zip(blocks, chosen, chosen[1:]))
     return SelectionResult(tuple(chosen), *_path_sum(graph, chosen, steps))
 
 

@@ -230,7 +230,8 @@ def cmd_oracle(args) -> int:
         ordered = [ik_sets[t] for t in result.order.order]
         oracle = brute_force_selection(task.home, ordered, config.metric, params)
         exact_cost, oracle_cost = search.total_cost, oracle.total_cost
-        match = exact_cost == oracle_cost and search.chosen == oracle.chosen
+        edges = [tuple(map(float.hex, r.per_edge_costs)) for r in (search, oracle)]
+        match = exact_cost == oracle_cost and search.chosen == oracle.chosen and edges[0] == edges[1]
     else:  # gtsp: the joint optimum must never exceed the decoupled pipeline
         joint = baseline_gtsp_exact(task, config)
         decoupled = solve_sequence(task, config)

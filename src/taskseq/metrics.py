@@ -13,9 +13,10 @@ interpolation duration is its obstacle-free surrogate.
 ``TILE_ENTRIES`` entries per numpy pass: a block wider than a tile is priced
 in row bands, and the layered graph stacks runs of small equal-size blocks
 into one call. Each band is written into the output, or, given a ``fold``
-keyword, handed to it in a reused tile and dropped. Every entry is the same
-chain of floating-point operations as the single move :func:`edge_cost`
-prices, so tiling never changes a bit.
+keyword, handed to it in a reused tile that the fold may overwrite, since the
+next band is priced over it. Every entry is the same chain of floating-point
+operations as the single move :func:`edge_cost` prices, so tiling never
+changes a bit.
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ def pairwise_cost(kind: MetricKind, params: MetricParams, a: np.ndarray, b: np.n
     two scratch tiles that every band reuses, so no metric holds an array with
     a joint axis. Each band goes straight into its rows of the output; given the
     keyword-only ``fold``, into one reused tile handed to ``fold(top, tile)``,
-    with ``top`` its first row, and the call returns None. Every metric reads
+    with ``top`` its first row, which may overwrite the tile (the next band is
+    priced over it), and the call returns None. Every metric reads
     ``b`` from a joint-major copy, one contiguous column per joint, under the
     ``_PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when the stacks and
     ``params`` disagree on the number of joints, or when that number is zero.

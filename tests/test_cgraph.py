@@ -300,6 +300,41 @@ def test_the_sweep_holds_one_band_of_a_wide_block(kind):
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
+def test_the_sweep_folds_each_band_in_its_tile(kind):
+    # The same 600 x 600 block: the pricing tile, its two scratch tiles and the
+    # joint-major copy of one layer, but no second tile to add the cost to Goal into.
+    rng = np.random.default_rng(14)
+    layers = [rng.uniform(-math.pi, math.pi, (600, 6)) for _ in range(2)]
+    graph = build_layered_graph(np.zeros(6), [IkSolutionSet(t, x) for t, x in enumerate(layers)],
+                                kind, _unit_params(6))
+    tracemalloc.start()
+    try:
+        shortest_selection(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * TILE_ENTRIES * 8
+
+
+def test_a_hand_made_graph_keeps_its_blocks_and_one_target_has_no_step():
+    rng = np.random.default_rng(15)
+    blocks = tuple(rng.uniform(0.0, 1.0, shape) for shape in ((3, 4), (4, 2)))
+    kept = tuple(block.copy() for block in blocks)
+    graph = cgraph.LayeredGraph(rng.uniform(0.0, 1.0, 3), blocks, rng.uniform(0.0, 1.0, 2), 0)
+    selection = shortest_selection(graph)  # the sweep folds copies, never the caller's blocks
+    assert [block.tobytes() for block in graph.step_costs] == [block.tobytes() for block in kept]
+    chosen = selection.chosen
+    assert _bits(selection) == _bits(cgraph.SelectionResult(chosen, *path_cost(graph, chosen)))
+    for kind in MetricKind:
+        single = [IkSolutionSet(0, rng.uniform(-math.pi, math.pi, (5, 4)))]
+        graph = build_layered_graph(rng.uniform(-math.pi, math.pi, 4), single, kind, _unit_params(4))
+        selection = shortest_selection(graph)
+        chosen = selection.chosen
+        assert len(selection.per_edge_costs) == 2  # the Start and Goal edges: no step move to price
+        assert _bits(selection) == _bits(cgraph.SelectionResult(chosen, *path_cost(graph, chosen)))
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
 def test_blocks_around_one_tile_match_the_untiled_formula(kind):
     # 127 x 258 is just below a tile, 128 x 256 is one tile, 258 x 128 is just
     # above one; each is checked in full against the per-joint difference

@@ -235,6 +235,22 @@ def test_oracle_step2_and_tsp_match(tmp_path, capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
+def test_oracle_step2_compares_the_bits_of_every_edge(tmp_path, capsys, monkeypatch):
+    task = tmp_path / "t.json"
+    assert main(["generate", "--n", "6", "--m-max", "3", "--seed", "11", "--out", str(task)]) == 0
+    oracle = cli.brute_force_selection
+
+    def nudged(*args):  # the same choice and total, one edge a unit in the last place off
+        found = oracle(*args)
+        edges = (np.nextafter(found.per_edge_costs[0], np.inf), *found.per_edge_costs[1:])
+        return dataclasses.replace(found, per_edge_costs=edges)
+
+    monkeypatch.setattr(cli, "brute_force_selection", nudged)
+    capsys.readouterr()
+    assert main(["oracle", "--task", str(task), "--what", "step2"]) == 1
+    assert capsys.readouterr().out.startswith("MISMATCH step2")
+
+
 def test_no_depot_reaches_solve_and_oracle(tmp_path, capsys):
     task, out = tmp_path / "t.json", tmp_path / "r.json"
     assert main(["generate", "--n", "6", "--m-max", "3", "--seed", "11", "--out", str(task)]) == 0
