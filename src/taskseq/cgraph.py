@@ -32,9 +32,9 @@ BRUTE_FORCE_GUARD = 10**6
 class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target.
 
-    ``step_costs``, a :class:`StepBlocks` from :func:`build_layered_graph` or a
-    tuple of hand-made costs that no metric prices, is read by ``len()`` and
-    iteration. The counts below come from the layer sizes alone and price nothing.
+    ``step_costs`` is a :class:`StepBlocks` from :func:`build_layered_graph`, priced
+    from its layers when read, or a tuple of hand-made costs that no metric prices.
+    The counts below come from the layer sizes alone and price nothing.
     """
 
     start_costs: np.ndarray                 # (m_1,) Start -> layer 0
@@ -169,9 +169,10 @@ def _path_sum(graph: LayeredGraph, chosen, steps) -> tuple[float, tuple[float, .
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``.
 
-    It reads ``graph.step_costs`` once, forward. ``ValueError`` refuses a choice that
-    is not an integer (a float, 2.0 too, or a string), the wrong number of choices
-    and a choice outside its layer.
+    Of a built graph it prices only the chosen step moves, in one :func:`metrics._price`
+    call, the per-entry chain of :func:`pairwise_cost`; a tuple's are read from its blocks.
+    ``ValueError`` refuses a choice that is not an integer (a float, 2.0 too, or a
+    string), the wrong number of choices and a choice outside its layer.
     """
     chosen, sizes = index_tuple(chosen, "choice"), graph.layer_sizes
     if len(chosen) != len(sizes):
@@ -179,7 +180,13 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     for layer, (c, m) in enumerate(zip(chosen, sizes)):
         if not 0 <= c < m:
             raise ValueError(f"choice {c} of layer {layer} is outside [0, {m})")
-    return _path_sum(graph, chosen, (b[i, j] for b, i, j in zip(graph.step_costs, chosen, chosen[1:])))
+    blocks = graph.step_costs
+    if isinstance(blocks, StepBlocks):
+        path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
+        steps = metrics._price(blocks.kind, blocks.params, path[:-1], path[1:])
+    else:
+        steps = (b[i, j] for b, i, j in zip(blocks, chosen, chosen[1:]))
+    return _path_sum(graph, chosen, steps)
 
 
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
@@ -195,9 +202,7 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     minimum lies in its band, so the tile moves no bit. A forward walk from
     the lowest-index best first vertex follows the successors, so the
     selection is the lexicographically smallest of all optima. The sweep
-    prices each block once; the walk's step moves are then priced again by
-    one :func:`metrics._price` call, the same per-entry chain (a tuple's are
-    read from its blocks), and added as :func:`path_cost` adds its edges.
+    prices each block once; :func:`path_cost` then prices the chosen path.
     """
     # Per layer, each vertex's (lowest-index successor, cost to Goal).
     tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs)]
@@ -223,12 +228,7 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     chosen = [int(np.argmin(graph.start_costs + tails[0][1]))]
     for successor, _ in tails[:-1]:
         chosen.append(int(successor[chosen[-1]]))
-    if isinstance(blocks, StepBlocks):
-        path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
-        steps = metrics._price(blocks.kind, blocks.params, path[:-1], path[1:])
-    else:
-        steps = (b[i, j] for b, i, j in zip(blocks, chosen, chosen[1:]))
-    return SelectionResult(tuple(chosen), *_path_sum(graph, chosen, steps))
+    return SelectionResult(tuple(chosen), *path_cost(graph, chosen))
 
 
 def brute_force_selection(

@@ -1,10 +1,10 @@
 """Three-stage sequencing pipeline, comparison baselines, and benchmark harness.
 
 Each method is only its step-1 plan: a visiting order, its task-space cost
-and, for a reference method, the selection its own matrix priced on the way.
-One driver runs the rest for every method: IK, (2) the layered graph of the
-order and, unless the plan brought a selection, its shortest path,
-(3) the time-parameterization of that sequence, the stage clock and counters.
+and, for a reference method, its configuration choice per target. ``_run``
+does the rest for every method: IK, (2) the layered graph of the order, its
+shortest path unless the plan chose, priced by ``path_cost``, (3) the
+time-parameterization of that sequence, the stage clock and counters.
 Stage 3 uses straight joint-space segments under trapezoidal speed profiles:
 an obstacle-free surrogate for full motion planning, labeled as such in all
 outputs. The main solver decouples: its plan is the task-space tour alone.
@@ -170,16 +170,12 @@ def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tup
     return cycle, TourOrder(cycle.order, TourKind.OPEN_PATH)
 
 
-def _walk_result(task, config, order: TourOrder, dm: np.ndarray, walk, chosen):
-    """A reference plan's ``(order, step1_cost, selection)``. The step-1 cost is the
-    task-space cycle cost of ``order``. The selection is ``chosen``, whose Start->Goal
-    path is the node ``walk`` of ``dm``: its moves are read from ``dm`` and added by
-    ``ordered_sum``, as ``cgraph.path_cost`` adds them."""
+def _walk_result(task, config, order: TourOrder, chosen):
+    """A reference plan's ``(order, step1_cost, chosen)``: the step-1 cost is the
+    task-space cycle cost of ``order``, home included when the depot is on."""
     task_dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
     cycle = tuple(order.order) + ((task.n,) if config.include_home_depot else ())
-    edges = dm[walk[:-1], walk[1:]].tolist()
-    selection = cgraph.SelectionResult(tuple(chosen), ordered_sum(edges), tuple(edges))
-    return order, tsp.tour_cost(task_dm, TourOrder(cycle, TourKind.CLOSED_CYCLE)), selection
+    return order, tsp.tour_cost(task_dm, TourOrder(cycle, TourKind.CLOSED_CYCLE)), tuple(chosen)
 
 
 def _decoupled_plan(task, config, params, ik_sets, work):
@@ -191,19 +187,17 @@ def _decoupled_plan(task, config, params, ik_sets, work):
 
 def _frozen_tour_plan(task, config, params, ik_sets, work):
     """Freeze the best-manipulability configuration per target, then tour the frozen
-    configurations under the configured metric. Home, the matrix's last node, is a
-    depot node of the tour only when the depot is on, and always the walk's ends."""
+    configurations under the configured metric, home the last node when the depot is on."""
     fixed = manipulability_choice(task, ik_sets)
-    nodes = [*(entry.solutions[c] for entry, c in zip(ik_sets, fixed)), task.home]
-    dm = pairwise_cost(config.metric, params, nodes, nodes)
-    _, order = _tour(dm if config.include_home_depot else dm[:-1, :-1], task, config, work)
-    walk = [task.n, *order.order, task.n]
-    return _walk_result(task, config, order, dm, walk, [fixed[t] for t in order.order])
+    nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
+    nodes += [task.home] if config.include_home_depot else []
+    _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), task, config, work)
+    return _walk_result(task, config, order, [fixed[t] for t in order.order])
 
 
 def _joint_plan(task, config, params, ik_sets, work):
     """Step 1 of the joint optimum: the guard, then the subset DP over every order
-    and configuration; the selection reads the walk's moves from the DP's matrix."""
+    and configuration; its walk gives the order and the choice."""
     sizes = [s.count for s in ik_sets]
     moves = (1 << task.n) * sum(sizes) ** 2
     if moves > GTSP_GUARD_MOVES:
@@ -220,7 +214,7 @@ def _joint_plan(task, config, params, ik_sets, work):
     _, walk = tsp._cluster_walk(dm, target)
     order = TourOrder(target[walk], TourKind.OPEN_PATH)
     chosen = (walk - bounds[target[walk] + 1] + 1).tolist()  # node less its block's first
-    return _walk_result(task, config, order, dm, [0, *(v + 1 for v in walk), 0], chosen)
+    return _walk_result(task, config, order, chosen)
 
 
 #: Each method's label, by its step-1 plan, in the order the ``method`` benchmark axis runs them.
@@ -231,11 +225,12 @@ def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     """Run one method: IK, its step-1 ``plan``, the selection (step 2), the schedule (step 3).
 
     ``plan(task, config, params, ik_sets, work)`` is step 1: it returns
-    ``(order, step1_cost, selection)``, and step 1's clock stops when it returns.
+    ``(order, step1_cost, chosen)``, and step 1's clock stops when it returns.
     Step 2 builds the layered graph of ``order``, whose sizes the counts report,
-    and takes its shortest selection when the plan's is None. ``work`` holds the
-    IK and tour counters; the tour counters stay zero unless the plan runs 2-opt.
-    A task with no targets is refused before IK.
+    and takes its shortest selection when ``chosen`` is None, or else prices
+    ``chosen`` by :func:`~taskseq.cgraph.path_cost`, as every selection is
+    priced. ``work`` holds the IK and tour counters; the tour counters stay
+    zero unless the plan runs 2-opt. A task with no targets is refused before IK.
     """
     if not task.targets:
         raise ValueError("task must contain at least one target")
@@ -246,11 +241,12 @@ def _run(plan, task: Task, config: PipelineConfig | None) -> PipelineResult:
     ik_sets = resolve_ik_sets(task, config.step_size, stats=work)
     ik_end = time.perf_counter()
     work.update(dict.fromkeys(tsp.TOUR_COUNTERS, 0))
-    order, step1_cost, selection = plan(task, config, params, ik_sets, work)
+    order, step1_cost, chosen = plan(task, config, params, ik_sets, work)
     step1_end = time.perf_counter()
     ordered = [ik_sets[t] for t in order.order]
     graph = cgraph.build_layered_graph(task.home, ordered, config.metric, params)
-    selection = selection or cgraph.shortest_selection(graph)
+    selection = (cgraph.shortest_selection(graph) if chosen is None
+                 else cgraph.SelectionResult(chosen, *cgraph.path_cost(graph, chosen)))
     step2_end = time.perf_counter()
 
     configurations = [entry.solutions[c] for entry, c in zip(ordered, selection.chosen)]
@@ -295,10 +291,9 @@ def baseline_cspace_tsp(task: Task, config: PipelineConfig | None = None) -> Pip
 
     Per target the configuration with the best manipulability wins; the tour
     is then solved over the frozen configurations with the configured metric
-    as edge length (home added as a depot node when enabled). The selection's
-    edges are the tour's moves from home to home, read from that matrix: they
-    have the bits of ``path_cost`` in the layered graph of the order, so the
-    step-2 costs of all methods compare directly.
+    as edge length (home added as a depot node when enabled). Step 2 prices
+    the frozen choice from home to home by ``path_cost`` in the layered graph
+    of the order, as for every method, so their step-2 costs compare directly.
     """
     return _run(_frozen_tour_plan, task, config)
 
@@ -307,8 +302,8 @@ def baseline_gtsp_exact(task: Task, config: PipelineConfig | None = None) -> Pip
     """Gold standard: exact minimum over every order and configuration choice.
 
     A generalized TSP, one cluster per target, solved by the subset DP of
-    :func:`tsp._cluster_walk`; the optimal walk's edges are read from the DP's
-    matrix, with the bits of ``path_cost`` in the graph of its order. Ties go to the lowest last
+    :func:`tsp._cluster_walk`; step 2 prices the optimal walk's choice by
+    ``path_cost`` in the graph of its order. Ties go to the lowest last
     configuration, then the lowest predecessor of each, by (target id, index).
     Refused before any pricing when 2^n V^2 moves (V configurations) exceed the guard.
     """
@@ -344,16 +339,19 @@ def benchmark_run(
     are comparable per instance. A variant whose guard refuses an instance
     contributes a flagged row (nan metrics) instead of crashing the run.
     Rows come back sorted by (variant, n, repeat); timings are wall-clock
-    milliseconds and are the only non-deterministic fields. Sizes, ``repeats``
-    and ``seed`` (0 or more) are read by :func:`~taskseq.model.index_tuple`.
+    milliseconds and are the only non-deterministic fields. Sizes (one or more),
+    ``repeats`` (1 or more) and ``seed`` (0 or more) are read by ``index_tuple``.
     """
     config = config or PipelineConfig()
     seed = index_tuple((seed,), "seed")[0]
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    sizes, repeats = index_tuple(sizes, "instance size"), index_tuple((repeats,), "repeats")[0]
+    if not sizes or repeats < 1:
+        raise ValueError(f"a benchmark needs one size and one repeat or more, got {sizes}, {repeats}")
     rows = []
-    for n in index_tuple(sizes, "instance size"):
-        for repeat in range(index_tuple((repeats,), "repeats")[0]):
+    for n in sizes:
+        for repeat in range(repeats):
             cell_seed = instance_seed(seed, n, repeat)
             task = generate_random_task(n, 1, cell_seed, mode="planar")
             for label, variant_config, plan in _benchmark_variants(axis, config):

@@ -258,8 +258,8 @@ def _bits(selection):
 
 
 @settings(max_examples=60, deadline=None)
-@given(drawn=_tiled_graphs())
-def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
+@given(drawn=_tiled_graphs(), choice_seed=st.integers(0, 2**32 - 1))
+def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn, choice_seed):
     tile, kind, params, home, layers = drawn
     sets = [IkSolutionSet(t, layer) for t, layer in enumerate(layers)]
     calls = []
@@ -272,11 +272,16 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn):
         kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
         assert len(calls) == 2 * graph.price_calls - 2  # the sweep kept no run for this read
         total, edges = path_cost(graph, swept.chosen)
-        assert len(calls) == 3 * graph.price_calls - 4  # path_cost priced every run again
+        rng = np.random.default_rng(choice_seed)
+        other = tuple(int(rng.integers(m)) for m in graph.layer_sizes)  # any path, rarely optimal
+        other_cost = path_cost(graph, other)
+        assert len(calls) == 2 * graph.price_calls - 2  # path_cost priced no run
     assert all(len(args) == 4 for args in calls)  # perfbench's call_counts unpacks four
     assert _bits(swept) == _bits(shortest_selection(kept))
     assert _bits(swept) == _bits(cgraph.SelectionResult(swept.chosen, total, edges))
     assert swept.total_cost == path_cost(kept, swept.chosen)[0]
+    assert _bits(cgraph.SelectionResult(other, *other_cost)) == _bits(
+        cgraph.SelectionResult(other, *path_cost(kept, other)))
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))

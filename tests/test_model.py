@@ -305,6 +305,9 @@ def test_generator_rejects_bad_arguments():
     for call in (lambda seed: generate_random_task(1, 1, seed), _benchmark_cells):
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
             call(seed=-1)
+    for kwargs in ({"repeats": 0}, {"repeats": -2}, {"sizes": []}):
+        with pytest.raises(ValueError, match="one size and one repeat or more"):
+            benchmark_run("method", **{"sizes": [3], **kwargs})
 
 
 def test_ordered_sum_adds_left_to_right_without_compensation():

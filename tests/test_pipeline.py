@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskseq import tsp
-from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
+from taskseq.cgraph import LayeredGraph, brute_force_selection, build_layered_graph, path_cost
 from taskseq.cli import parse_step_size, task_from_dict
 from taskseq.kinematics import IkSolutionSet, Pose2D, forward_kinematics, ik_3r, ik_pool
 from taskseq.metrics import MetricKind, MetricParams, default_weights
@@ -365,7 +365,8 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
 @pytest.mark.parametrize("runner", [baseline_cspace_tsp, baseline_gtsp_exact])
 def test_a_reference_selection_has_the_bits_of_path_cost_in_the_graph_of_its_order(runner, case, solver, depot):
-    # Each reference plan reads its walk's moves from the matrix it solved over.
+    # Step 2 prices a reference choice by path_cost in the built graph; the check reads
+    # the moves from the graph's blocks, materialised, so it takes another route.
     mode, m_max, step = _REFERENCE_CASES[case]
     m_max = 1 if runner is baseline_cspace_tsp else m_max
     for seed, metric in itertools.product((1, 2), MetricKind):
@@ -374,8 +375,9 @@ def test_a_reference_selection_has_the_bits_of_path_cost_in_the_graph_of_its_ord
                                 include_home_depot=depot)
         result = runner(task, config)
         ik_sets = resolve_ik_sets(task, step)
-        graph = build_layered_graph(task.home, [ik_sets[t] for t in result.order.order], metric,
-                                    MetricParams.from_robot(task.robot))
+        g = build_layered_graph(task.home, [ik_sets[t] for t in result.order.order], metric,
+                                MetricParams.from_robot(task.robot))
+        graph = LayeredGraph(g.start_costs, tuple(g.step_costs), g.goal_costs, 0)
         total, edges = path_cost(graph, result.selection.chosen)
         selection = (result.selection.total_cost, *result.selection.per_edge_costs)
         assert list(map(float.hex, selection)) == list(map(float.hex, (total, *edges)))
