@@ -32,21 +32,19 @@ BRUTE_FORCE_GUARD = 10**6
 class LayeredGraph:
     """Start/Goal vertices plus one configuration layer per target.
 
-    ``step_costs`` is a :class:`StepBlocks` from :func:`build_layered_graph`, priced
-    from its layers when read, or a tuple of hand-made costs that no metric prices.
-    The counts below come from the layer sizes alone and price nothing.
+    A ``LayeredGraph`` comes from :func:`build_layered_graph`: ``step_costs``
+    is the :class:`StepBlocks` of its layers, priced when read. The counts
+    below come from the layer sizes alone and price nothing.
     """
 
-    start_costs: np.ndarray                 # (m_1,) Start -> layer 0
-    step_costs: tuple[np.ndarray, ...] | StepBlocks  # (m_i, m_{i+1}) between layers
-    goal_costs: np.ndarray                  # (m_n,) last layer -> Goal
-    price_calls: int                        # pairwise_cost calls that price it
+    start_costs: np.ndarray   # (m_1,) Start -> layer 0
+    step_costs: StepBlocks    # (m_i, m_{i+1}) between layers
+    goal_costs: np.ndarray    # (m_n,) last layer -> Goal
+    price_calls: int          # pairwise_cost calls that price it
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.step_costs, StepBlocks):
-            return self.step_costs.sizes
-        return (self.start_costs.size, *(block.shape[1] for block in self.step_costs))
+        return self.step_costs.sizes
 
     @property
     def vertex_count(self) -> int:
@@ -167,12 +165,13 @@ def _path_sum(graph: LayeredGraph, chosen, steps) -> tuple[float, tuple[float, .
 
 
 def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
-    """Cost of one Start->Goal path: its edges from the Start side, by ``ordered_sum``.
+    """Cost of one Start->Goal path of a graph from :func:`build_layered_graph`:
+    its edges from the Start side, added by ``ordered_sum``.
 
-    Of a built graph it prices only the chosen step moves, in one :func:`metrics._price`
-    call, the per-entry chain of :func:`pairwise_cost`; a tuple's are read from its blocks.
-    ``ValueError`` refuses a choice that is not an integer (a float, 2.0 too, or a
-    string), the wrong number of choices and a choice outside its layer.
+    It prices only the chosen step moves, in one :func:`metrics._price` call, the
+    per-entry chain of :func:`pairwise_cost`. ``ValueError`` refuses a choice
+    that is not an integer (a float, 2.0 too, or a string), the wrong number of
+    choices and a choice outside its layer.
     """
     chosen, sizes = index_tuple(chosen, "choice"), graph.layer_sizes
     if len(chosen) != len(sizes):
@@ -181,16 +180,13 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
         if not 0 <= c < m:
             raise ValueError(f"choice {c} of layer {layer} is outside [0, {m})")
     blocks = graph.step_costs
-    if isinstance(blocks, StepBlocks):
-        path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
-        steps = metrics._price(blocks.kind, blocks.params, path[:-1], path[1:])
-    else:
-        steps = (b[i, j] for b, i, j in zip(blocks, chosen, chosen[1:]))
-    return _path_sum(graph, chosen, steps)
+    path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
+    return _path_sum(graph, chosen, metrics._price(blocks.kind, blocks.params, path[:-1], path[1:]))
 
 
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
-    """Optimal configuration choice per target for the graph's fixed order.
+    """Optimal configuration choice per target for the fixed order of ``graph``,
+    a graph from :func:`build_layered_graph`.
 
     The graph is layered and acyclic, so one backward sweep over the step
     blocks computes every vertex's cost-to-Goal and records, per layer, each
@@ -198,11 +194,11 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     rows at a time: one :func:`pairwise_cost` call per :class:`StepBlocks`
     run prices them into a reused tile, handed to its ``fold`` keyword, which
     adds the cost-to-Goal row into the tile in place, so it holds one band,
-    never a block (a tuple's blocks fold whole, each from a copy); a row's
-    minimum lies in its band, so the tile moves no bit. A forward walk from
-    the lowest-index best first vertex follows the successors, so the
-    selection is the lexicographically smallest of all optima. The sweep
-    prices each block once; :func:`path_cost` then prices the chosen path.
+    never a block; a row's minimum lies in its band, so the tile moves no
+    bit. A forward walk from the lowest-index best first vertex follows the
+    successors, so the selection is the lexicographically smallest of all
+    optima. The sweep prices each block once; :func:`path_cost` then prices
+    the chosen path.
     """
     # Per layer, each vertex's (lowest-index successor, cost to Goal).
     tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs)]
@@ -217,13 +213,9 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
             tails[i] = tuple(map(np.concatenate, zip(tails[i], new))) if top else new
 
     blocks = graph.step_costs
-    if isinstance(blocks, StepBlocks):
-        for first, stop in reversed(blocks.runs):
-            pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop),
-                          fold=functools.partial(fold, first))
-    else:
-        for i in reversed(range(len(blocks))):
-            fold(i, 0, np.array(blocks[i], dtype=float))
+    for first, stop in reversed(blocks.runs):
+        pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop),
+                      fold=functools.partial(fold, first))
 
     chosen = [int(np.argmin(graph.start_costs + tails[0][1]))]
     for successor, _ in tails[:-1]:

@@ -246,12 +246,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    sizes = [int(token) for token in args.sizes.split(",") if token.strip()]
-    if not sizes:
-        raise ValueError("--sizes must list at least one instance size")
     rows = benchmark_run(
         axis=args.axis,
-        sizes=sizes,
+        sizes=[int(token) for token in args.sizes.split(",") if token.strip()],
         repeats=args.repeats,
         seed=args.seed,
     )

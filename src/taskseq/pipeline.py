@@ -155,7 +155,7 @@ def manipulability_choice(task: Task, ik_sets: list[IkSolutionSet]) -> list[int]
     return chosen
 
 
-def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tuple[TourOrder, TourOrder]:
+def _tour(dm: np.ndarray, config: PipelineConfig, work: dict) -> tuple[TourOrder, TourOrder]:
     """``(cycle, visiting order)`` by the configured solver over ``dm``, whose last
     node is home when the depot is on; 2-opt improves the nearest-neighbour tour
     from node 0 and writes its counters into ``work``."""
@@ -166,7 +166,7 @@ def _tour(dm: np.ndarray, task: Task, config: PipelineConfig, work: dict) -> tup
     else:
         cycle = tsp.solve_rnn(dm, min(config.rnn_restarts, dm.shape[0]))
     if config.include_home_depot:
-        return cycle, tsp.open_order_from_cycle(cycle, depot=task.n)
+        return cycle, tsp.open_order_from_cycle(cycle, depot=len(dm) - 1)
     return cycle, TourOrder(cycle.order, TourKind.OPEN_PATH)
 
 
@@ -181,7 +181,7 @@ def _walk_result(task, config, order: TourOrder, chosen):
 def _decoupled_plan(task, config, params, ik_sets, work):
     """Step 1 of the paper's method: the task-space tour; step 2 then selects freely."""
     dm = tsp.build_task_distance_matrix(task, config.include_home_depot)
-    cycle, order = _tour(dm, task, config, work)
+    cycle, order = _tour(dm, config, work)
     return order, tsp.tour_cost(dm, cycle), None
 
 
@@ -191,7 +191,7 @@ def _frozen_tour_plan(task, config, params, ik_sets, work):
     fixed = manipulability_choice(task, ik_sets)
     nodes = [entry.solutions[c] for entry, c in zip(ik_sets, fixed)]
     nodes += [task.home] if config.include_home_depot else []
-    _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), task, config, work)
+    _, order = _tour(pairwise_cost(config.metric, params, nodes, nodes), config, work)
     return _walk_result(task, config, order, [fixed[t] for t in order.order])
 
 
@@ -349,12 +349,13 @@ def benchmark_run(
     sizes, repeats = index_tuple(sizes, "instance size"), index_tuple((repeats,), "repeats")[0]
     if not sizes or repeats < 1:
         raise ValueError(f"a benchmark needs one size and one repeat or more, got {sizes}, {repeats}")
+    variants = _benchmark_variants(axis, config)
     rows = []
     for n in sizes:
         for repeat in range(repeats):
             cell_seed = instance_seed(seed, n, repeat)
             task = generate_random_task(n, 1, cell_seed, mode="planar")
-            for label, variant_config, plan in _benchmark_variants(axis, config):
+            for label, variant_config, plan in variants:
                 row = {
                     "axis": axis, "variant": label, "n": n,
                     "repeat": repeat, "seed": cell_seed,

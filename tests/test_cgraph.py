@@ -1,6 +1,6 @@
-import itertools
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,7 +16,7 @@ from taskseq.cgraph import (
 )
 from taskseq.kinematics import IkSolutionSet
 from taskseq.metrics import TILE_ENTRIES, MetricKind, MetricParams, edge_cost
-from taskseq.model import GuardError
+from taskseq.model import GuardError, ordered_sum
 
 EUCLID = MetricKind.WEIGHTED_EUCLIDEAN
 
@@ -193,12 +193,13 @@ def _edge_cost_table(kind, params, a, b):
     return np.array([[edge_cost(kind, params, p, q) for q in b] for p in a])
 
 
-def _assert_graph_is_priced_pair_by_pair(graph, home, layers, kind, params):
+def _assert_graph_is_priced_pair_by_pair(graph, blocks, home, layers, kind, params):
+    """``graph``'s Start and Goal edges and ``blocks``, its step blocks as read, against edge_cost."""
     home = home[None]
     assert graph.start_costs.tobytes() == _edge_cost_table(kind, params, home, layers[0])[0].tobytes()
     assert graph.goal_costs.tobytes() == _edge_cost_table(kind, params, layers[-1], home)[:, 0].tobytes()
-    assert len(graph.step_costs) == len(layers) - 1
-    for block, a, b in zip(graph.step_costs, layers, layers[1:]):
+    assert len(blocks) == len(layers) - 1
+    for block, a, b in zip(blocks, layers, layers[1:]):
         assert block.shape == (len(a), len(b))
         assert block.tobytes() == _edge_cost_table(kind, params, a, b).tobytes()
 
@@ -245,21 +246,36 @@ def test_tiled_pricing_equals_edge_cost_byte_for_byte(drawn):
         patch.setattr(cgraph, "pairwise_cost", _counting_pairwise_cost(calls))
         graph = build_layered_graph(home, sets, kind, params)
         assert len(calls) == 2  # the Start and Goal edges; the step blocks are priced when read
-        kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
+        blocks = tuple(graph.step_costs)
         assert graph.price_calls == len(calls)
     for _, _, a, b in calls:  # every stacked call stays within one tile
         if np.ndim(a) == 3:
             assert len(a) * a.shape[1] * b.shape[1] <= tile
-    _assert_graph_is_priced_pair_by_pair(kept, home, layers, kind, params)  # read at the small tile
+    _assert_graph_is_priced_pair_by_pair(graph, blocks, home, layers, kind, params)  # read at the small tile
 
 
 def _bits(selection):
     return selection.chosen, np.array([selection.total_cost, *selection.per_edge_costs]).tobytes()
 
 
+def _swept_in_one_band(home, sets, kind, params):
+    """The selection of the graph built and swept under an unbounded tile: every block
+    is priced in one band and folded whole."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "TILE_ENTRIES", sys.maxsize)
+        return shortest_selection(build_layered_graph(home, sets, kind, params))
+
+
+def _read_path(graph, blocks, chosen):
+    """The result of ``chosen`` with its step edges read from ``blocks`` and added by ordered_sum."""
+    steps = (block[i, j] for block, i, j in zip(blocks, chosen, chosen[1:]))
+    edges = tuple(map(float, (graph.start_costs[chosen[0]], *steps, graph.goal_costs[chosen[-1]])))
+    return cgraph.SelectionResult(tuple(chosen), ordered_sum(edges), edges)
+
+
 @settings(max_examples=60, deadline=None)
 @given(drawn=_tiled_graphs(), choice_seed=st.integers(0, 2**32 - 1))
-def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn, choice_seed):
+def test_sweep_over_blocks_as_priced_equals_the_sweep_of_whole_blocks(drawn, choice_seed):
     tile, kind, params, home, layers = drawn
     sets = [IkSolutionSet(t, layer) for t, layer in enumerate(layers)]
     calls = []
@@ -269,7 +285,7 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn, ch
         graph = build_layered_graph(home, sets, kind, params)
         swept = shortest_selection(graph)
         assert len(calls) == graph.price_calls  # each run priced once
-        kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
+        blocks = tuple(graph.step_costs)
         assert len(calls) == 2 * graph.price_calls - 2  # the sweep kept no run for this read
         total, edges = path_cost(graph, swept.chosen)
         rng = np.random.default_rng(choice_seed)
@@ -277,11 +293,10 @@ def test_sweep_over_blocks_as_priced_equals_the_sweep_over_kept_blocks(drawn, ch
         other_cost = path_cost(graph, other)
         assert len(calls) == 2 * graph.price_calls - 2  # path_cost priced no run
     assert all(len(args) == 4 for args in calls)  # perfbench's call_counts unpacks four
-    assert _bits(swept) == _bits(shortest_selection(kept))
+    assert _bits(swept) == _bits(_swept_in_one_band(home, sets, kind, params))
     assert _bits(swept) == _bits(cgraph.SelectionResult(swept.chosen, total, edges))
-    assert swept.total_cost == path_cost(kept, swept.chosen)[0]
-    assert _bits(cgraph.SelectionResult(other, *other_cost)) == _bits(
-        cgraph.SelectionResult(other, *path_cost(kept, other)))
+    assert _bits(swept) == _bits(_read_path(graph, blocks, swept.chosen))
+    assert _bits(cgraph.SelectionResult(other, *other_cost)) == _bits(_read_path(graph, blocks, other))
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
@@ -300,8 +315,8 @@ def test_the_sweep_holds_one_band_of_a_wide_block(kind):
     finally:
         tracemalloc.stop()
     assert peak < graph.step_cost_bytes / 2
-    kept = cgraph.LayeredGraph(graph.start_costs, tuple(graph.step_costs), graph.goal_costs, 0)
-    assert _bits(swept) == _bits(shortest_selection(kept))
+    sets = [IkSolutionSet(t, x) for t, x in enumerate(layers)]
+    assert _bits(swept) == _bits(_swept_in_one_band(np.zeros(6), sets, kind, _unit_params(6)))
 
 
 @pytest.mark.parametrize("kind", list(MetricKind))
@@ -321,15 +336,8 @@ def test_the_sweep_folds_each_band_in_its_tile(kind):
     assert peak < 3.5 * TILE_ENTRIES * 8
 
 
-def test_a_hand_made_graph_keeps_its_blocks_and_one_target_has_no_step():
+def test_one_target_has_no_step():
     rng = np.random.default_rng(15)
-    blocks = tuple(rng.uniform(0.0, 1.0, shape) for shape in ((3, 4), (4, 2)))
-    kept = tuple(block.copy() for block in blocks)
-    graph = cgraph.LayeredGraph(rng.uniform(0.0, 1.0, 3), blocks, rng.uniform(0.0, 1.0, 2), 0)
-    selection = shortest_selection(graph)  # the sweep folds copies, never the caller's blocks
-    assert [block.tobytes() for block in graph.step_costs] == [block.tobytes() for block in kept]
-    chosen = selection.chosen
-    assert _bits(selection) == _bits(cgraph.SelectionResult(chosen, *path_cost(graph, chosen)))
     for kind in MetricKind:
         single = [IkSolutionSet(0, rng.uniform(-math.pi, math.pi, (5, 4)))]
         graph = build_layered_graph(rng.uniform(-math.pi, math.pi, 4), single, kind, _unit_params(4))
@@ -382,27 +390,23 @@ def test_equal_size_layers_are_priced_in_few_calls():
 
 @st.composite
 def _tied_graphs(draw):
-    """A LayeredGraph whose every cost is 0, 0.5, 1 or 2: their sums are exact, so ties are real."""
-    costs = st.sampled_from([0.0, 0.5, 1.0, 2.0])
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=7))
-
-    def block(shape):
-        flat = draw(st.lists(costs, min_size=math.prod(shape), max_size=math.prod(shape)))
-        return np.array(flat).reshape(shape)
-
-    return cgraph.LayeredGraph(
-        start_costs=block((sizes[0],)),
-        step_costs=tuple(block((a, b)) for a, b in zip(sizes, sizes[1:])),
-        goal_costs=block((sizes[-1],)),
-        price_calls=0,
-    )
+    """Home and 1-7 layers of 1-4 configurations of 1-3 joints, every joint (rows may
+    repeat) on the lattice {0, 0.5, 1, 2}: under max_joint_difference with unit limits
+    every cost is a lattice difference and every sum is exact, so ties are real."""
+    dof = draw(st.integers(1, 3))
+    joints = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=dof, max_size=dof)
+    layers = draw(st.lists(st.lists(joints, min_size=1, max_size=4), min_size=1, max_size=7))
+    sets = [IkSolutionSet(t, np.array(layer)) for t, layer in enumerate(layers)]
+    return np.array(draw(joints)), sets, _unit_params(dof)
 
 
 def test_path_cost_adds_its_edges_from_the_start_side():
-    # Edges 1e16, 1, 1: each 1 rounds away; a compensated sum would keep both.
-    graph = cgraph.LayeredGraph(start_costs=np.array([1e16]), step_costs=(np.array([[1.0]]),),
-                                goal_costs=np.array([1.0]), price_calls=0)
-    assert path_cost(graph, (0, 0)) == (1e16, (1e16, 1.0, 1.0))
+    # Edges 1e16, 1, 1, 1, 1e16: each 1 rounds away; a compensated sum would keep all three.
+    sets = [IkSolutionSet(t, np.array([[1e16, t]])) for t in range(4)]
+    graph = build_layered_graph(np.zeros(2), sets, MetricKind.MAX_JOINT_DIFFERENCE, _unit_params(2))
+    total, edges = path_cost(graph, (0, 0, 0, 0))
+    assert (total, edges) == (2e16, (1e16, 1.0, 1.0, 1.0, 1e16))
+    assert math.fsum(edges) == 2e16 + 4
 
 
 @pytest.mark.parametrize("chosen,message", [
@@ -423,17 +427,10 @@ def test_path_cost_refuses_a_choice_outside_its_layer(chosen, message):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graph=_tied_graphs())
-def test_search_breaks_many_way_ties_like_the_enumeration(graph):
-    best_total, best = math.inf, None
-    for chosen in itertools.product(*(range(m) for m in graph.layer_sizes)):
-        edges = [graph.start_costs[chosen[0]]]
-        edges += [block[i, j] for block, i, j in zip(graph.step_costs, chosen, chosen[1:])]
-        edges.append(graph.goal_costs[chosen[-1]])
-        total = sum(edges)
-        if total < best_total:  # the first strict minimum, in lexicographic order
-            best_total, best = total, (chosen, tuple(float(e) for e in edges))
-    selection = shortest_selection(graph)
-    assert selection.chosen == best[0]
-    assert selection.total_cost == best_total
-    assert selection.per_edge_costs == best[1]
+@given(drawn=_tied_graphs())
+def test_search_breaks_many_way_ties_like_the_enumeration(drawn):
+    home, sets, params = drawn
+    kind = MetricKind.MAX_JOINT_DIFFERENCE
+    selection = shortest_selection(build_layered_graph(home, sets, kind, params))
+    # the enumeration keeps the first strict minimum, in lexicographic order
+    assert _bits(selection) == _bits(brute_force_selection(home, sets, kind, params))

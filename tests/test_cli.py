@@ -374,7 +374,7 @@ def test_benchmark_has_no_m_max_flag(tmp_path):
 def test_benchmark_without_a_size_exits_1(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert main(["benchmark", "--axis", "metric", "--sizes", ",", "--csv", str(out)]) == 1
-    assert capsys.readouterr().err == "error: --sizes must list at least one instance size\n"
+    assert capsys.readouterr().err == "error: a benchmark needs one size and one repeat or more, got (), 1\n"
     assert not out.exists()
 
 

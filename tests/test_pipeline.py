@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from taskseq import tsp
-from taskseq.cgraph import LayeredGraph, brute_force_selection, build_layered_graph, path_cost
+from taskseq.cgraph import brute_force_selection, build_layered_graph, path_cost
 from taskseq.cli import parse_step_size, task_from_dict
 from taskseq.kinematics import IkSolutionSet, Pose2D, forward_kinematics, ik_3r, ik_pool
 from taskseq.metrics import MetricKind, MetricParams, default_weights
@@ -22,6 +22,7 @@ from taskseq.model import (
     Task,
     TaskTarget,
     generate_random_task,
+    ordered_sum,
     planar_arm,
     validate_task,
 )
@@ -366,7 +367,8 @@ _REFERENCE_CASES = {
 @pytest.mark.parametrize("runner", [baseline_cspace_tsp, baseline_gtsp_exact])
 def test_a_reference_selection_has_the_bits_of_path_cost_in_the_graph_of_its_order(runner, case, solver, depot):
     # Step 2 prices a reference choice by path_cost in the built graph; the check reads
-    # the moves from the graph's blocks, materialised, so it takes another route.
+    # the moves from the graph's blocks, priced whole, and adds them by ordered_sum,
+    # so it takes another route.
     mode, m_max, step = _REFERENCE_CASES[case]
     m_max = 1 if runner is baseline_cspace_tsp else m_max
     for seed, metric in itertools.product((1, 2), MetricKind):
@@ -377,8 +379,10 @@ def test_a_reference_selection_has_the_bits_of_path_cost_in_the_graph_of_its_ord
         ik_sets = resolve_ik_sets(task, step)
         g = build_layered_graph(task.home, [ik_sets[t] for t in result.order.order], metric,
                                 MetricParams.from_robot(task.robot))
-        graph = LayeredGraph(g.start_costs, tuple(g.step_costs), g.goal_costs, 0)
-        total, edges = path_cost(graph, result.selection.chosen)
+        chosen, blocks = result.selection.chosen, tuple(g.step_costs)
+        steps = (block[i, j] for block, i, j in zip(blocks, chosen, chosen[1:]))
+        edges = tuple(map(float, (g.start_costs[chosen[0]], *steps, g.goal_costs[chosen[-1]])))
+        total = ordered_sum(edges)
         selection = (result.selection.total_cost, *result.selection.per_edge_costs)
         assert list(map(float.hex, selection)) == list(map(float.hex, (total, *edges)))
 
@@ -602,6 +606,14 @@ def test_benchmark_axis_variants_keep_their_labels_order_and_field(axis):
 def test_benchmark_rejects_unknown_axis():
     with pytest.raises(ValueError):
         benchmark_run("nope", sizes=[4])
+
+
+def test_an_unknown_axis_is_refused_before_any_instance_is_generated(monkeypatch):
+    calls = []
+    monkeypatch.setattr("taskseq.pipeline.generate_random_task", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="unknown benchmark axis 'nope'"):
+        benchmark_run("nope", sizes=[4, 5], repeats=2)
+    assert calls == []
 
 
 def test_explicit_solves_keep_their_bits():
