@@ -30,21 +30,30 @@ BRUTE_FORCE_GUARD = 10**6
 
 @dataclass(frozen=True)
 class LayeredGraph:
-    """Start/Goal vertices plus one configuration layer per target.
+    """Start/Goal vertices plus one configuration layer per target, from
+    :func:`build_layered_graph`: the layers, the metric that prices moves
+    between them, and the Start and Goal edges, the only ones priced at build.
+    The counts below come from the layer sizes alone and price nothing."""
 
-    A ``LayeredGraph`` comes from :func:`build_layered_graph`: ``step_costs``
-    is the :class:`StepBlocks` of its layers, priced when read. The counts
-    below come from the layer sizes alone and price nothing.
-    """
-
+    layers: list              # (m_i, dof) configurations per target, in visiting order
+    kind: MetricKind
+    params: MetricParams
     start_costs: np.ndarray   # (m_1,) Start -> layer 0
-    step_costs: StepBlocks    # (m_i, m_{i+1}) between layers
     goal_costs: np.ndarray    # (m_n,) last layer -> Goal
-    price_calls: int          # pairwise_cost calls that price it
+
+    @functools.cached_property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return tuple(len(layer) for layer in self.layers)
+
+    @functools.cached_property
+    def runs(self) -> list[tuple[int, int]]:
+        """``(first, stop)`` of the step blocks each pricing call takes, by :func:`_price_runs`."""
+        return _price_runs(self.layer_sizes)
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return self.step_costs.sizes
+    def price_calls(self) -> int:
+        """pairwise_cost calls that price the graph: Start, Goal and one per run."""
+        return len(self.runs) + 2
 
     @property
     def vertex_count(self) -> int:
@@ -60,8 +69,25 @@ class LayeredGraph:
     @property
     def step_cost_bytes(self) -> int:
         """Bytes of all float64 (m_i, m_{i+1}) step blocks together, not bytes held
-        at once: iteration holds one run of blocks at a time, the sweep one band."""
+        at once: a read of ``step_costs`` holds one run of blocks, the sweep one band."""
         return np.dtype(float).itemsize * _step_entries(self.layer_sizes)
+
+    @property
+    def step_costs(self):
+        """The (m_i, m_{i+1}) step blocks in order, priced anew on each read: one
+        :func:`pairwise_cost` call per run, on its :meth:`stacks`, as the reader
+        reaches it. A run of k small blocks is one (k, m, m) result read as k views.
+        """
+        for run in self.runs:
+            blocks = pairwise_cost(self.kind, self.params, *self.stacks(*run))
+            yield from blocks.reshape(-1, *blocks.shape[-2:])
+
+    def stacks(self, first: int, stop: int):
+        """The ``a, b`` stacks that :func:`pairwise_cost` prices blocks first..stop-1 from."""
+        if stop - first == 1:
+            return self.layers[first], self.layers[stop]
+        run = np.stack(self.layers[first:stop + 1])
+        return run[:-1], run[1:]
 
 
 @dataclass(frozen=True)
@@ -95,38 +121,6 @@ def _step_entries(sizes) -> int:
     return sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
-class StepBlocks:
-    """The step blocks of a graph's layers, priced by :func:`pairwise_cost` when read.
-
-    Each run of :func:`_price_runs` is one call on its :meth:`stacks`.
-    Iteration prices the runs in order, each as the reader reaches it; none
-    is kept, so every read prices anew. A run of small blocks between layers
-    of equal size goes in as stacked (k, m, dof) layers, at most one tile and
-    so one band, and its (k, m, m) result is read as k views; a block wider
-    than a tile is a run of its own, which ``pairwise_cost`` prices in row bands.
-    """
-
-    def __init__(self, layers, kind: MetricKind, params: MetricParams):
-        self.layers, self.kind, self.params = layers, kind, params
-        self.sizes = tuple(len(layer) for layer in layers)
-        self.runs = _price_runs(self.sizes)
-
-    def stacks(self, first: int, stop: int):
-        """The ``a, b`` stacks that :func:`pairwise_cost` prices blocks first..stop-1 from."""
-        if stop - first == 1:
-            return self.layers[first], self.layers[stop]
-        run = np.stack(self.layers[first:stop + 1])
-        return run[:-1], run[1:]
-
-    def __len__(self) -> int:
-        return len(self.sizes) - 1
-
-    def __iter__(self):
-        for run in self.runs:
-            blocks = pairwise_cost(self.kind, self.params, *self.stacks(*run))
-            yield from blocks.reshape(-1, *blocks.shape[-2:])
-
-
 def build_layered_graph(
     home: Configuration,
     ordered_ik: list[IkSolutionSet],
@@ -138,10 +132,9 @@ def build_layered_graph(
     ``ordered_ik`` is a sequence of :class:`IkSolutionSet`; every set must be
     non-empty, and its (m, dof) array is the layer. Only the Start and Goal
     edges are priced here, one :func:`pairwise_cost` call each, under the
-    selected metric; the step blocks are a :class:`StepBlocks` over the
-    layers, priced in tiles of about ``metrics.TILE_ENTRIES`` entries when read.
-    ``price_calls`` counts the two calls made here and the one per run that
-    one read of the blocks makes.
+    selected metric; the step blocks are priced in tiles of about
+    ``metrics.TILE_ENTRIES`` entries when read. ``price_calls`` counts the two
+    calls made here and the one per run that one read of the blocks makes.
     """
     if len(ordered_ik) == 0:
         raise ValueError("ordered_ik must contain at least one target")
@@ -149,13 +142,9 @@ def build_layered_graph(
         if entry.count == 0:
             raise ValueError(f"target {entry.target_id} has an empty solution set")
     layers = [entry.solutions for entry in ordered_ik]
-    step_costs = StepBlocks(layers, kind, params)
-    return LayeredGraph(
-        start_costs=pairwise_cost(kind, params, home, layers[0])[0],
-        step_costs=step_costs,
-        goal_costs=pairwise_cost(kind, params, layers[-1], home)[:, 0],
-        price_calls=len(step_costs.runs) + 2,
-    )
+    return LayeredGraph(layers, kind, params,
+                        start_costs=pairwise_cost(kind, params, home, layers[0])[0],
+                        goal_costs=pairwise_cost(kind, params, layers[-1], home)[:, 0])
 
 
 def _path_sum(graph: LayeredGraph, chosen, steps) -> tuple[float, tuple[float, ...]]:
@@ -179,9 +168,8 @@ def path_cost(graph: LayeredGraph, chosen) -> tuple[float, tuple[float, ...]]:
     for layer, (c, m) in enumerate(zip(chosen, sizes)):
         if not 0 <= c < m:
             raise ValueError(f"choice {c} of layer {layer} is outside [0, {m})")
-    blocks = graph.step_costs
-    path = np.array([layer[c] for layer, c in zip(blocks.layers, chosen)])
-    return _path_sum(graph, chosen, metrics._price(blocks.kind, blocks.params, path[:-1], path[1:]))
+    path = np.array([layer[c] for layer, c in zip(graph.layers, chosen)])
+    return _path_sum(graph, chosen, metrics._price(graph.kind, graph.params, path[:-1], path[1:]))
 
 
 def shortest_selection(graph: LayeredGraph) -> SelectionResult:
@@ -191,17 +179,18 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
     The graph is layered and acyclic, so one backward sweep over the step
     blocks computes every vertex's cost-to-Goal and records, per layer, each
     vertex's lowest-index successor on a minimal path. It folds a band of
-    rows at a time: one :func:`pairwise_cost` call per :class:`StepBlocks`
-    run prices them into a reused tile, handed to its ``fold`` keyword, which
+    rows at a time: one :func:`pairwise_cost` call per run of ``graph.runs``
+    prices them into a reused tile, handed to its ``fold`` keyword, which
     adds the cost-to-Goal row into the tile in place, so it holds one band,
     never a block; a row's minimum lies in its band, so the tile moves no
     bit. A forward walk from the lowest-index best first vertex follows the
-    successors, so the selection is the lexicographically smallest of all
-    optima. The sweep prices each block once; :func:`path_cost` then prices
-    the chosen path.
+    successors, so where every path sum is exact the selection is the
+    lexicographically smallest of all optima; under rounding, these sums from
+    the Goal side can differ from :func:`path_cost`'s in the last bit. The
+    sweep prices each block once; :func:`path_cost` then prices the chosen path.
     """
     # Per layer, each vertex's (lowest-index successor, cost to Goal).
-    tails: list = [None] * len(graph.step_costs) + [(None, graph.goal_costs)]
+    tails: list = [None] * (len(graph.layers) - 1) + [(None, graph.goal_costs)]
 
     def fold(first: int, top: int, tile) -> None:
         """Rows top.. of blocks first, first + 1, ... of ``tile``, last block first, in place."""
@@ -212,9 +201,8 @@ def shortest_selection(graph: LayeredGraph) -> SelectionResult:
             new = best, run[i - first].take(best + starts)
             tails[i] = tuple(map(np.concatenate, zip(tails[i], new))) if top else new
 
-    blocks = graph.step_costs
-    for first, stop in reversed(blocks.runs):
-        pairwise_cost(blocks.kind, blocks.params, *blocks.stacks(first, stop),
+    for first, stop in reversed(graph.runs):
+        pairwise_cost(graph.kind, graph.params, *graph.stacks(first, stop),
                       fold=functools.partial(fold, first))
 
     chosen = [int(np.argmin(graph.start_costs + tails[0][1]))]
@@ -232,10 +220,11 @@ def brute_force_selection(
     """Exhaustive minimum over every combination of per-target configurations.
 
     Enumerates the full product of layer choices in lexicographic order,
-    keeping the first strict minimum, so ties resolve exactly as in
-    :func:`shortest_selection`. Guarded: the product of layer sizes must not
-    exceed ``BRUTE_FORCE_GUARD``; within it, the blocks are read once, into a
-    tuple, and each combination's edges are added as :func:`path_cost` adds them.
+    keeping the first strict minimum, so where every path sum is exact, ties
+    resolve as in :func:`shortest_selection`. Guarded: the product of layer
+    sizes must not exceed ``BRUTE_FORCE_GUARD``; within it, the blocks are read
+    once, into a tuple, and each combination's edges are added as
+    :func:`path_cost` adds them.
     """
     graph = build_layered_graph(home, ordered_ik, kind, params)
     sizes = graph.layer_sizes

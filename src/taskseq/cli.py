@@ -41,6 +41,7 @@ from .pipeline import (
 )
 from .tsp import (
     SolverKind,
+    TourOrder,
     brute_force_cycle,
     build_task_distance_matrix,
     solve_exact,
@@ -213,14 +214,20 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _either_way_cost(dm, cycle: TourOrder) -> float:
+    """The smaller of a cycle's two edge sums from its first node, one per direction:
+    the cost that the subset DP and the permutation oracle minimise."""
+    return min(tour_cost(dm, cycle), tour_cost(dm, TourOrder(cycle.order[:1] + cycle.order[:0:-1])))
+
+
 def cmd_oracle(args) -> int:
     task = load_task(args.task)
     config = _config_from_args(args)
 
     if args.what == "tsp":
         dm = build_task_distance_matrix(task, config.include_home_depot)
-        exact_cost = tour_cost(dm, solve_exact(dm))
-        oracle_cost = tour_cost(dm, brute_force_cycle(dm))
+        exact_cost = _either_way_cost(dm, solve_exact(dm))
+        oracle_cost = _either_way_cost(dm, brute_force_cycle(dm))
         match = exact_cost == oracle_cost
     elif args.what == "step2":
         params = MetricParams.from_robot(task.robot)
@@ -236,7 +243,7 @@ def cmd_oracle(args) -> int:
         joint = baseline_gtsp_exact(task, config)
         decoupled = solve_sequence(task, config)
         exact_cost, oracle_cost = decoupled.selection.total_cost, joint.selection.total_cost
-        match = oracle_cost <= exact_cost + 1e-12
+        match = oracle_cost <= exact_cost
 
     verdict = "MATCH" if match else "MISMATCH"
     gap = exact_cost / oracle_cost if oracle_cost else (math.inf if exact_cost else 1.0)

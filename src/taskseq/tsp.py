@@ -194,7 +194,8 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
     Independent oracle for :func:`solve_exact`: enumerates permutations with
     node 0 fixed, skipping mirrored orientations, and keeps the first strict
     minimum (so ties resolve to the lexicographically smallest cycle in the
-    same canonical orientation the exact solver uses).
+    same canonical orientation the exact solver uses). A cycle scores the smaller
+    of its two edge sums from node 0, one per direction, as the subset DP does.
     """
     dm = _square_matrix(dm)
     n = dm.shape[0]
@@ -210,9 +211,10 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
     for perm in itertools.permutations(range(1, n)):
         if perm[0] > perm[-1]:
             continue  # mirrored orientation of an already-seen cycle
-        cost = dm[0, perm[0]]
-        for a, b in zip(perm, perm[1:] + (0,)):
-            cost += dm[a, b]
+        ahead, back = dm[0, perm[0]], dm[0, perm[-1]]  # rounding can set the two apart
+        for a, b, c, d in zip(perm, perm[1:] + (0,), perm[::-1], perm[-2::-1] + (0,)):
+            ahead, back = ahead + dm[a, b], back + dm[c, d]
+        cost = min(ahead, back)
         if cost < best_cost:
             best_cost = cost
             best = (0,) + perm

@@ -274,6 +274,23 @@ def test_oracle_gtsp_matches_on_tiny_instance(tmp_path, capsys):
     assert gap >= 1.0
 
 
+def test_oracle_gtsp_refuses_a_joint_optimum_above_the_decoupled_cost(tmp_path, capsys, monkeypatch):
+    # The joint DP adds the same entries from Start as path_cost, so its optimum never
+    # exceeds the decoupled cost, bit for bit: 5e-13 above it is a MISMATCH.
+    task = tmp_path / "t.json"
+    assert main(["generate", "--n", "4", "--m-max", "2", "--seed", "2", "--out", str(task)]) == 0
+
+    def above(task, config):
+        found = solve_sequence(task, config)
+        selection = dataclasses.replace(found.selection, total_cost=found.selection.total_cost + 5e-13)
+        return dataclasses.replace(found, selection=selection)
+
+    monkeypatch.setattr(cli, "baseline_gtsp_exact", above)
+    capsys.readouterr()
+    assert main(["oracle", "--task", str(task), "--what", "gtsp"]) == 1
+    assert capsys.readouterr().out.startswith("MISMATCH gtsp")
+
+
 def _write_explicit_task(path, sizes):
     rng = np.random.default_rng(0)
     robot = RobotModel(dof=2, vel_max=np.ones(2), acc_max=np.ones(2))

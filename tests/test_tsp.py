@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from taskseq.model import GuardError, generate_random_task, planar_arm, Task, TaskTarget
 from taskseq.kinematics import forward_kinematics
@@ -222,6 +222,25 @@ def test_exact_matches_the_permutation_oracle_on_non_finite_matrices(data):
         assert tour_cost(dm, TourOrder(order)) == oracle_cost
     else:
         assert order == tuple(range(n))
+
+
+def _either_way_cost(dm, cycle):
+    """The smaller of a cycle's two edge sums from node 0, one per direction."""
+    return min(tour_cost(dm, cycle), tour_cost(dm, TourOrder(cycle.order[:1] + cycle.order[:0:-1])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 8).flatmap(lambda n: st.lists(st.integers(0, 9), min_size=n * (n - 1) // 2,
+                                                    max_size=n * (n - 1) // 2)))
+@example([2, 1, 3, 3, 3, 4])  # the cycle 0-2-1-3 sums to 1.0, and to 0.9999999999999999 reversed
+def test_exact_matches_the_permutation_oracle_when_sums_round(upper):
+    # Entries k/10 round as they add, so a cycle's two directions can sum to two
+    # floats; the subset DP minimises the smaller, and so must the oracle.
+    n = (1 + math.isqrt(1 + 8 * len(upper))) // 2
+    dm = np.zeros((n, n))
+    dm[np.triu_indices(n, 1)] = np.array(upper) / 10
+    dm = dm + dm.T
+    assert _either_way_cost(dm, solve_exact(dm)) == _either_way_cost(dm, brute_force_cycle(dm))
 
 
 def test_exact_cost_is_label_equivariant():
