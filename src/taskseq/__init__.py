@@ -21,7 +21,7 @@ from .kinematics import (
     Pose2D,
     forward_kinematics,
     ik_3r,
-    ik_targets,
+    ik_pool,
     jacobian,
     manipulability,
     wrap_angle,

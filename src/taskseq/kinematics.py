@@ -209,9 +209,14 @@ def ik_pool(arm: RobotModel, positions, step_size: float, stats: dict | None = N
     """Pooled grid solutions of many point targets, one read-only (m, 3) array each.
 
     ``positions`` is an (n, 2) array-like of finite points or an empty sequence;
-    a non-finite point raises ``ValueError``. ``stats``, when given, receives the
-    IK_COUNTERS: 2 poses tried per target and orientation, and the elbow-down
-    poses dropped as duplicates of their elbow-up pose.
+    a non-finite point raises ``ValueError``. A target's array concatenates the
+    branches of every :func:`theta_grid` orientation in grid order. Only one
+    orientation's branches can coincide: q3 = wrap(theta - q1 - q2) makes
+    q1 + q2 + q3 = theta (mod 2*pi) to about 1e-15, so solutions within
+    DUPLICATE_TOL on every joint have orientations within about 3e-9, and grid
+    orientations are at least 2*pi / 10,000 apart. ``stats``, when given,
+    receives the IK_COUNTERS: 2 poses tried per target and orientation, and the
+    elbow-down poses dropped as duplicates of their elbow-up pose.
     """
     thetas = _wrap(np.array(theta_grid(step_size)))
     points = np.asarray(positions, dtype=float)
@@ -220,23 +225,6 @@ def ik_pool(arm: RobotModel, positions, step_size: float, stats: dict | None = N
     if stats is not None:
         stats.update(poses_tried=2 * thetas.size * len(points), poses_dropped=dropped)
     return pooled
-
-
-def ik_targets(
-    arm: RobotModel, target_position, step_size: float, target_id: int = 0
-) -> IkSolutionSet:
-    """Pool the 3R solutions over the orientation grid for one point target.
-
-    The free tool orientation is swept over :func:`theta_grid`, and the branches of
-    all orientations are concatenated in grid order; this is :func:`ik_pool` of a
-    single point, and a non-finite position raises ``ValueError``. Only one
-    orientation's branches can coincide: q3 = wrap(theta - q1 - q2) makes
-    q1 + q2 + q3 = theta (mod 2*pi) to about 1e-15, so solutions within
-    DUPLICATE_TOL on every joint have orientations within about 3e-9, and grid
-    orientations are at least 2*pi / 10,000 apart.
-    """
-    (solutions,) = ik_pool(arm, [target_position], step_size)
-    return IkSolutionSet(target_id=target_id, solutions=solutions)
 
 
 def jacobian(arm: RobotModel, q) -> np.ndarray:

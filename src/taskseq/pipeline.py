@@ -206,10 +206,7 @@ def _joint_plan(task, config, params, ik_sets, work):
 
     nodes = np.concatenate([task.home[None], *(s.solutions for s in ik_sets)])
     bounds = np.cumsum([0, 1, *sizes])  # node blocks: home, then each target's configurations
-    dm = np.zeros((len(nodes), len(nodes)))  # within a block: no move, left unpriced
-    for lo, hi in zip(bounds, bounds[1:]):
-        for cols in (slice(0, lo), slice(hi, None)):
-            dm[lo:hi, cols] = pairwise_cost(config.metric, params, nodes[lo:hi], nodes[cols])
+    dm = pairwise_cost(config.metric, params, nodes, nodes)  # moves within a block are never read
     target = np.repeat(np.arange(task.n), sizes)  # of each configuration, node v + 1
     _, walk = tsp._cluster_walk(dm, target)
     order = TourOrder(target[walk], TourKind.OPEN_PATH)

@@ -82,6 +82,14 @@ def _square_matrix(dm: np.ndarray) -> np.ndarray:
     return dm
 
 
+def _symmetric_matrix(dm: np.ndarray) -> np.ndarray:
+    """A square matrix equal to its transpose, NaN matching NaN: the cycle solvers' contract."""
+    dm = _square_matrix(dm)
+    if not (np.array_equal(dm, dm.T) or np.array_equal(dm, dm.T, equal_nan=True)):
+        raise ValueError("distance matrix must be symmetric")
+    return dm
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> np.ndarray:
     """Euclidean distance matrix over the task's target positions.
@@ -170,11 +178,11 @@ def _cluster_walk(dm: np.ndarray, cluster) -> tuple[float, list[int]]:
 def solve_exact(dm: np.ndarray) -> TourOrder:
     """Globally optimal closed cycle via dynamic programming over visited subsets.
 
-    Runs in O(n^2 2^n) time and O(n 2^n) memory, hence the hard size guard.
-    The returned cycle is in canonical form (starts at node 0, oriented toward
-    the smaller-indexed neighbor). NaN counts as inf; no finite cycle gives the identity.
+    Takes O(n^2 2^n) time and O(n 2^n) memory, hence the size guard. The cycle starts at node
+    0, turned toward its smaller neighbor, which keeps its cost only if ``dm`` is symmetric
+    (NaN matching NaN): ``ValueError`` refuses any other. NaN is inf; no finite cycle gives the identity.
     """
-    dm = _square_matrix(dm)
+    dm = _symmetric_matrix(dm)
     n = dm.shape[0]
     if n > EXACT_GUARD:
         raise GuardError(
@@ -191,13 +199,13 @@ def solve_exact(dm: np.ndarray) -> TourOrder:
 def brute_force_cycle(dm: np.ndarray) -> TourOrder:
     """Exhaustive minimum over all (n-1)!/2 distinct closed cycles.
 
-    Independent oracle for :func:`solve_exact`: enumerates permutations with
-    node 0 fixed, skipping mirrored orientations, and keeps the first strict
-    minimum (so ties resolve to the lexicographically smallest cycle in the
-    same canonical orientation the exact solver uses). A cycle scores the smaller
-    of its two edge sums from node 0, one per direction, as the subset DP does.
+    Independent oracle for :func:`solve_exact`; like it, it refuses a ``dm`` that is not
+    symmetric (NaN matching NaN). It enumerates permutations with node 0 fixed, skips
+    mirrored orientations and keeps the first strict minimum (ties go to the
+    lexicographically smallest cycle, in the exact solver's canonical orientation). A cycle
+    scores the smaller of its two edge sums from node 0, one per direction, as the DP does.
     """
-    dm = _square_matrix(dm)
+    dm = _symmetric_matrix(dm)
     n = dm.shape[0]
     if n > BRUTE_FORCE_GUARD:
         raise GuardError(
@@ -469,10 +477,8 @@ def solve_2opt(
     ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
     (by the queue and by the full check), Or-opt moves, and full checks run.
     """
-    dm = _square_matrix(dm)
+    dm = _symmetric_matrix(dm)
     n = dm.shape[0]
-    if not (np.array_equal(dm, dm.T) or np.array_equal(dm, dm.T, equal_nan=True)):
-        raise ValueError("distance matrix must be symmetric")
     if initial is None:
         initial = solve_rnn(dm, 1)
     if sorted(initial.order) != list(range(n)):

@@ -12,7 +12,6 @@ from taskseq.kinematics import (
     forward_kinematics,
     ik_3r,
     ik_pool,
-    ik_targets,
     jacobian,
     manipulability,
     theta_grid,
@@ -111,9 +110,8 @@ def test_theta_grid_accepts_exact_divisors_only():
 
 @pytest.mark.parametrize("grid", [
     theta_grid,
-    lambda step: ik_targets(ARM, [1.5, 0.5], step),
     lambda step: ik_pool(ARM, [[1.5, 0.5]], step),
-], ids=["theta_grid", "ik_targets", "ik_pool"])
+], ids=["theta_grid", "ik_pool"])
 @pytest.mark.parametrize("step", [np.float32(math.pi / 2), "pi/4", None], ids=["float32", "text", "none"])
 def test_a_step_that_is_not_a_real_dividing_2pi_is_refused(grid, step):
     # float() of a float32 pi/2 does not divide 2*pi, so it is refused, not gridded in float32.
@@ -135,17 +133,16 @@ def test_theta_grid_refuses_a_huge_grid_before_building_it():
 
 def test_ik_targets_counts_near_center():
     # All four orientations reachable, two branches each.
-    ikset = ik_targets(ARM, (0.1, 0.0), math.pi / 2, target_id=3)
-    assert ikset.target_id == 3
-    assert ikset.count == 8
-    for q in ikset.solutions:
+    solutions = ik_pool(ARM, [(0.1, 0.0)], math.pi / 2)[0]
+    assert len(solutions) == 8
+    for q in solutions:
         pose = forward_kinematics(ARM, q)
         assert (pose.x, pose.y) == pytest.approx((0.1, 0.0), abs=1e-9)
 
 
 def test_ik_targets_boundary_target():
     # Only theta=0 reaches (3, 0), and there on the straight-elbow boundary.
-    assert ik_targets(ARM, (3.0, 0.0), math.pi / 2).count == 1
+    assert len(ik_pool(ARM, [(3.0, 0.0)], math.pi / 2)[0]) == 1
 
 
 def test_ik_targets_refinement_never_loses_solutions():
@@ -154,8 +151,8 @@ def test_ik_targets_refinement_never_loses_solutions():
         radius = rng.uniform(0.2, 2.6)
         angle = rng.uniform(0.0, 2 * math.pi)
         target = (radius * math.cos(angle), radius * math.sin(angle))
-        coarse = ik_targets(ARM, target, math.pi / 2).count
-        fine = ik_targets(ARM, target, math.pi / 4).count
+        coarse = len(ik_pool(ARM, [target], math.pi / 2)[0])
+        fine = len(ik_pool(ARM, [target], math.pi / 4)[0])
         assert fine >= coarse
 
 
@@ -227,7 +224,7 @@ def test_a_stack_of_configurations_has_the_bits_of_one_call_per_row(rows, links)
 
 
 def _ik_targets_by_scan(arm, target, step):
-    """IK pooling written with one max-norm check per kept pose, the reference for ik_targets."""
+    """IK pooling written with one max-norm check per kept pose, the reference for ik_pool."""
     l1, l2, l3 = (float(v) for v in arm.planar_links)
     x, y = target
     pooled = []
@@ -262,7 +259,7 @@ def test_ik_targets_match_the_pairwise_scan_bit_for_bit(k, offset, radius, step)
     arm = planar_arm((1.0, 0.5, 0.25))
     angle = k * math.pi / 12 + offset
     target = (radius * math.cos(angle), radius * math.sin(angle))
-    got = ik_targets(arm, target, step).solutions
+    got = ik_pool(arm, [target], step)[0]
     want = _ik_targets_by_scan(arm, target, step)
     assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
 
@@ -285,12 +282,12 @@ def test_ik_targets_concatenate_the_branches_of_every_orientation(links, reach, 
         for q in sols:  # the premise: q1 + q2 + q3 is the orientation
             assert abs(wrap_angle(float(np.sum(q)) - theta)) <= 1e-12
     want = np.array([q for _, sols in per_theta for q in sols]).reshape(-1, 3)
-    got = ik_targets(arm, (x, y), step).solutions
+    got = ik_pool(arm, [(x, y)], step)[0]
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_unreachable_target_has_an_empty_set_and_stops_the_pipeline():
-    assert ik_targets(ARM, (4.0, 0.0), math.pi / 2).solutions.shape == (0, 3)
+    assert ik_pool(ARM, [(4.0, 0.0)], math.pi / 2)[0].shape == (0, 3)
     task = Task(robot=ARM, home=np.zeros(3), targets=(TaskTarget(id=0, position=[4.0, 0.0]),))
     with pytest.raises(ValueError, match="unreachable"):
         resolve_ik_sets(task, math.pi / 2)
@@ -489,7 +486,7 @@ def test_ik_pool_reports_the_poses_tried_and_dropped():
 @pytest.mark.parametrize("position", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
 def test_a_non_finite_position_is_refused(position):
     with pytest.raises(ValueError, match="not finite"):
-        ik_targets(ARM, position, math.pi / 2)
+        ik_pool(ARM, [position], math.pi / 2)
     with pytest.raises(ValueError, match="not finite"):
         ik_3r(ARM, Pose2D(*position, 0.0))
     task = Task(robot=ARM, home=np.zeros(3),

@@ -325,7 +325,7 @@ def test_the_package_exports_its_api_and_no_module():
     assert not any(isinstance(value, types.ModuleType) for value in star.values())
     readme_entry_points = {  # named in README's "Library use"
         "solve_sequence", "baseline_cspace_tsp", "baseline_gtsp_exact", "build_task_distance_matrix",
-        "solve_exact", "solve_2opt", "solve_rnn", "build_layered_graph", "shortest_selection", "ik_targets",
+        "solve_exact", "solve_2opt", "solve_rnn", "build_layered_graph", "shortest_selection", "ik_pool",
     }
     assert readme_entry_points <= set(star)
     assert "solve_sequence(" in pydoc.render_doc(taskseq, renderer=pydoc.plaintext)

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from taskseq.cli import main, task_from_dict
-from taskseq.kinematics import ik_targets
+from taskseq.kinematics import ik_pool
 from taskseq.metrics import MetricKind
 from taskseq.model import GuardError
 from taskseq.pipeline import PipelineConfig, solve_sequence
@@ -85,7 +85,7 @@ def _unreachable_on_grid(task, step):
     """Targets whose planar IK finds no configuration on the orientation grid."""
     return [
         t.id for t in task.targets
-        if t.ik_solutions is None and ik_targets(task.robot, t.position, step).count == 0
+        if t.ik_solutions is None and len(ik_pool(task.robot, [t.position], step)[0]) == 0
     ]
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from taskseq.model import GuardError, generate_random_task, planar_arm, Task, TaskTarget
 from taskseq.kinematics import forward_kinematics
+from taskseq.metrics import MetricKind, MetricParams, pairwise_cost
 from taskseq.tsp import (
     TOUR_COUNTERS,
     TourKind,
@@ -224,6 +225,26 @@ def test_exact_matches_the_permutation_oracle_on_non_finite_matrices(data):
         assert order == tuple(range(n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_cluster_walk_never_counts_a_move_within_a_cluster(data):
+    # The joint optimum prices its node matrix in one call, each target's own moves too:
+    # a state without cluster b is inf at every vertex of b, so those entries never count.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5), label="sizes")
+    metric = data.draw(st.sampled_from(list(MetricKind)), label="metric")
+    lattice = st.integers(-20, 20).map(lambda k: k / 10)  # ties, and sums that round
+    nodes = data.draw(st.lists(st.tuples(lattice, lattice), min_size=sum(sizes) + 1,
+                               max_size=sum(sizes) + 1), label="nodes")
+    params = MetricParams(weights=[1.0, 0.5], vel_max=[1.0, 2.0], acc_max=[1.0, 3.0])
+    priced = pairwise_cost(metric, params, nodes, nodes)
+    cluster = np.repeat(np.arange(len(sizes)), sizes)  # of vertex v, node v + 1
+    within = np.zeros(priced.shape, dtype=bool)
+    within[1:, 1:] = np.equal.outer(cluster, cluster)
+    walks = [tsp._cluster_walk(np.where(within, fill, priced), cluster)
+             for fill in (0.0, priced, 1e300)]
+    assert len({(cost.hex(), tuple(walk)) for cost, walk in walks}) == 1
+
+
 def _either_way_cost(dm, cycle):
     """The smaller of a cycle's two edge sums from node 0, one per direction."""
     return min(tour_cost(dm, cycle), tour_cost(dm, TourOrder(cycle.order[:1] + cycle.order[:0:-1])))
@@ -342,6 +363,13 @@ def _one_sided(change):
 def test_2opt_refuses_a_matrix_that_is_not_symmetric(change):
     with pytest.raises(ValueError, match="distance matrix must be symmetric"):
         solve_2opt(_one_sided(change))
+
+
+@pytest.mark.parametrize("solver", [solve_exact, brute_force_cycle], ids=["exact", "oracle"])
+def test_the_exact_solver_and_its_oracle_refuse_a_matrix_that_is_not_symmetric(solver):
+    # On such a matrix, turning a cycle or skipping its mirror image changes its cost.
+    with pytest.raises(ValueError, match="distance matrix must be symmetric"):
+        solver(_one_sided(lambda d: d / 2))
 
 
 def test_2opt_solves_a_symmetric_matrix_with_nan_entries():
