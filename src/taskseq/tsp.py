@@ -32,7 +32,7 @@ BRUTE_FORCE_GUARD = 10
 #: An exchange must improve the tour by more than this to be applied ...
 IMPROVEMENT_EPS = 1e-12
 
-#: ... and by more than this fraction of the longest finite distance, which
+#: ... and by more than this fraction of the longest distance, which
 #: is far above the rounding error of a gain summed from six distances. So
 #: an applied move always shortens the tour, and moves never cycle, even
 #: where distances are too long for their differences to show.
@@ -76,16 +76,19 @@ class TourOrder:
 
 
 def _square_matrix(dm: np.ndarray) -> np.ndarray:
+    """A finite, square, non-empty matrix: every tour function's contract."""
     dm = np.asarray(dm, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1] or dm.shape[0] < 1:
         raise ValueError(f"distance matrix must be square and non-empty, got {dm.shape}")
+    if not np.isfinite(dm).all():
+        raise ValueError("distance matrix must be finite")
     return dm
 
 
 def _symmetric_matrix(dm: np.ndarray) -> np.ndarray:
-    """A square matrix equal to its transpose, NaN matching NaN: the cycle solvers' contract."""
+    """A finite square matrix equal to its transpose: the cycle solvers' contract."""
     dm = _square_matrix(dm)
-    if not (np.array_equal(dm, dm.T) or np.array_equal(dm, dm.T, equal_nan=True)):
+    if not np.array_equal(dm, dm.T):
         raise ValueError("distance matrix must be symmetric")
     return dm
 
@@ -125,7 +128,10 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
 
 
 def tour_cost(dm: np.ndarray, tour: TourOrder) -> float:
-    """Edges in visiting order, plus the closing edge of a closed cycle, by ``ordered_sum``."""
+    """Edges in visiting order, plus the closing edge of a closed cycle, by ``ordered_sum``.
+
+    ``ValueError`` refuses a ``dm`` that is not finite and square.
+    """
     dm = _square_matrix(dm)
     order, n = tour.order, dm.shape[0]
     if order and not 0 <= min(order) <= max(order) < n:
@@ -179,8 +185,9 @@ def solve_exact(dm: np.ndarray) -> TourOrder:
     """Globally optimal closed cycle via dynamic programming over visited subsets.
 
     Takes O(n^2 2^n) time and O(n 2^n) memory, hence the size guard. The cycle starts at node
-    0, turned toward its smaller neighbor, which keeps its cost only if ``dm`` is symmetric
-    (NaN matching NaN): ``ValueError`` refuses any other. NaN is inf; no finite cycle gives the identity.
+    0, turned toward its smaller neighbor, which keeps its cost only if ``dm`` is symmetric:
+    ``ValueError`` refuses a ``dm`` that is not finite and symmetric. Where every cycle's
+    sum overflows to inf, the identity order stands.
     """
     dm = _symmetric_matrix(dm)
     n = dm.shape[0]
@@ -189,7 +196,6 @@ def solve_exact(dm: np.ndarray) -> TourOrder:
             f"exact solver guard: n={n} exceeds {EXACT_GUARD} (dynamic program is O(n^2 * 2^n))"
         )
     if n > 3:
-        dm = np.where(np.isnan(dm), np.inf, dm)
         cost, walk = _cluster_walk(dm, np.arange(n - 1))
         if cost < np.inf:
             return _canonical_cycle([0] + [v + 1 for v in walk])
@@ -200,7 +206,7 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
     """Exhaustive minimum over all (n-1)!/2 distinct closed cycles.
 
     Independent oracle for :func:`solve_exact`; like it, it refuses a ``dm`` that is not
-    symmetric (NaN matching NaN). It enumerates permutations with node 0 fixed, skips
+    finite and symmetric. It enumerates permutations with node 0 fixed, skips
     mirrored orientations and keeps the first strict minimum (ties go to the
     lexicographically smallest cycle, in the exact solver's canonical orientation). A cycle
     scores the smaller of its two edge sums from node 0, one per direction, as the DP does.
@@ -232,48 +238,35 @@ def brute_force_cycle(dm: np.ndarray) -> TourOrder:
 def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
-    Each walk appends its nearest unvisited node, the lowest index on ties (all at
-    inf included); an unvisited NaN entry ranks first, as ``argmin`` ranks it. The
-    walks share one numpy pick per step; each cycle is priced by :func:`tour_cost`.
-    The cheapest cycle wins, earlier starts winning ties. ``ValueError`` refuses
-    ``restarts`` outside [1, n] or refused by :func:`~taskseq.model.index_tuple` (a bool, 2.0, "2").
+    Each walk appends its nearest unvisited node, the lowest index on ties. The walks
+    share one numpy pick per step; each cycle is priced by :func:`tour_cost`. The
+    cheapest cycle wins, earlier starts winning ties. Any finite square ``dm`` is
+    taken, symmetric or not. ``ValueError`` refuses any other ``dm``, and ``restarts``
+    outside [1, n] or refused by :func:`~taskseq.model.index_tuple` (a bool, 2.0, "2").
     """
     dm = _square_matrix(dm)
     n, restarts = dm.shape[0], index_tuple((restarts,), "restarts")[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
-    current, visited = np.arange(restarts), np.eye(restarts, n, dtype=bool)
-    seen = memoryview(visited)
-    orders = [[start] for start in range(restarts)]
+    walks = current = np.arange(restarts)
+    visited, steps = np.eye(restarts, n, dtype=bool), [walks]
     for _ in range(1, n):
         rows = dm.take(current, axis=0)
         np.copyto(rows, np.inf, where=visited)
         current = rows.argmin(axis=1)
-        for k, nxt in enumerate(current.tolist()):
-            if seen[k, nxt]:  # every unvisited node is at inf: take the lowest-index one
-                nxt = current[k] = int(visited[k].argmin())
-            orders[k].append(nxt)
-            seen[k, nxt] = True
+        visited[walks, current] = True
+        steps.append(current)
+    orders = np.stack(steps, axis=1).tolist()
     costs = [tour_cost(dm, TourOrder(order)) for order in orders]
-    finite = [k for k, cost in enumerate(costs) if cost < np.inf]  # NaN and inf cycles never win
-    return TourOrder(orders[min(finite, key=costs.__getitem__)] if finite else range(n))
-
-
-def _nearest(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The columns of each row's k smallest entries, sorted stably by entry, and those entries."""
-    part = np.argpartition(block, k - 1, axis=1)[:, :k]
-    part = np.take_along_axis(part, np.argsort(np.take_along_axis(block, part, axis=1), axis=1,
-                                               kind="stable"), axis=1)
-    return part, np.take_along_axis(block, part, axis=1)
+    return TourOrder(orders[costs.index(min(costs))])
 
 
 def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
     """The k nearest other nodes of every node, nearest first, and their distances.
 
     Built ROW_BLOCK rows at a time, so only a (ROW_BLOCK, n) copy is held. With its own
-    entry ranked as inf, a row whose k + 1 nearest entries strictly increase has one answer;
-    a row with a tie or a NaN there is redone with that entry ranked as NaN (a path about
-    twice as slow), where equal distances keep the order ``argpartition`` leaves them in.
+    entry ranked as inf, each row's k smallest entries are picked by ``argpartition`` and
+    sorted stably, so equal distances keep the order ``argpartition`` leaves them in.
     """
     n = dm.shape[0]
     neighbors = np.empty((n, k), dtype=np.intp)
@@ -281,12 +274,9 @@ def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
         block = dm[start:start + ROW_BLOCK].copy()
         rows = np.arange(len(block))
         block[rows, start + rows] = np.inf
-        part, near = _nearest(block, k + 1)
-        neighbors[start:start + ROW_BLOCK] = part[:, :k]
-        redo = rows[~(near[:, 1:] > near[:, :-1]).all(axis=1)]  # a tie or a NaN
-        if redo.size:
-            block[redo, start + redo] = np.nan
-            neighbors[start + redo] = _nearest(block[redo], k)[0]
+        part = np.argpartition(block, k - 1, axis=1)[:, :k]
+        nearest = np.argsort(np.take_along_axis(block, part, axis=1), axis=1, kind="stable")
+        neighbors[start:start + ROW_BLOCK] = np.take_along_axis(part, nearest, axis=1)
     return neighbors.tolist(), dm[np.arange(n)[:, None], neighbors].tolist()
 
 
@@ -384,7 +374,7 @@ class _LocalSearch:
                     break
                 pc = pos[c]
                 d = node[(pc + step) % n]
-                if c == a or c == b or d == a:  # a's row may hold NaN, ranked with itself
+                if c == b or d == a:
                     continue
                 if d_ac + dist[b][d] - d_ab - dist[c][d] < -self.tol:
                     if step == 1:
@@ -469,10 +459,10 @@ def solve_2opt(
     move re-activates the nodes whose edges it changed. When the queue is
     empty, every 2-exchange of the whole tour is checked; an improving one is
     applied and the search resumes. Every move gains more than
-    IMPROVEMENT_EPS and more than ROUNDING_SLACK times the longest finite
-    distance, so the result is 2-opt locally optimal and never costlier than
-    the initial tour. A ``dm`` that is not symmetric (NaN matching NaN) is
-    refused with ``ValueError``, because on such a matrix moves can cycle forever.
+    IMPROVEMENT_EPS and more than ROUNDING_SLACK times the longest distance,
+    so the result is 2-opt locally optimal and never costlier than the initial
+    tour. A ``dm`` that is not finite and symmetric is refused with
+    ``ValueError``: on a one-sided matrix moves can cycle forever.
 
     ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
     (by the queue and by the full check), Or-opt moves, and full checks run.
@@ -486,7 +476,7 @@ def solve_2opt(
     work = dict.fromkeys(TOUR_COUNTERS, 0)
     order = list(initial.order)
     if n >= 4:
-        longest = float(np.max(dm, where=np.isfinite(dm), initial=0.0))
+        longest = float(np.max(dm))
         tol = max(IMPROVEMENT_EPS, ROUNDING_SLACK * longest)
         search = _LocalSearch(dm, order, work, tol)
         while True:

@@ -131,7 +131,7 @@ def test_theta_grid_refuses_a_huge_grid_before_building_it():
     assert peak < 1 << 20
 
 
-def test_ik_targets_counts_near_center():
+def test_ik_pool_counts_near_center():
     # All four orientations reachable, two branches each.
     solutions = ik_pool(ARM, [(0.1, 0.0)], math.pi / 2)[0]
     assert len(solutions) == 8
@@ -140,12 +140,12 @@ def test_ik_targets_counts_near_center():
         assert (pose.x, pose.y) == pytest.approx((0.1, 0.0), abs=1e-9)
 
 
-def test_ik_targets_boundary_target():
+def test_ik_pool_boundary_target():
     # Only theta=0 reaches (3, 0), and there on the straight-elbow boundary.
     assert len(ik_pool(ARM, [(3.0, 0.0)], math.pi / 2)[0]) == 1
 
 
-def test_ik_targets_refinement_never_loses_solutions():
+def test_ik_pool_refinement_never_loses_solutions():
     rng = np.random.default_rng(5)
     for _ in range(20):
         radius = rng.uniform(0.2, 2.6)
@@ -223,7 +223,7 @@ def test_a_stack_of_configurations_has_the_bits_of_one_call_per_row(rows, links)
     assert measure.tobytes() == np.array([manipulability(arm, q) for q in stack]).tobytes()
 
 
-def _ik_targets_by_scan(arm, target, step):
+def _ik_pool_by_scan(arm, target, step):
     """IK pooling written with one max-norm check per kept pose, the reference for ik_pool."""
     l1, l2, l3 = (float(v) for v in arm.planar_links)
     x, y = target
@@ -253,14 +253,14 @@ def _ik_targets_by_scan(arm, target, step):
     radius=st.one_of(st.sampled_from([0.25, 1.75]), st.floats(0.2, 1.8)),
     step=st.sampled_from([math.pi, math.pi / 2, math.pi / 4, math.pi / 12]),
 )
-def test_ik_targets_match_the_pairwise_scan_bit_for_bit(k, offset, radius, step):
+def test_ik_pool_matches_the_pairwise_scan_bit_for_bit(k, offset, radius, step):
     # Radii 0.25 and 1.75 are the arm's inner and outer reach, exact in floating point; with
     # no offset the target lies on a grid orientation, where the elbow branches coincide.
     arm = planar_arm((1.0, 0.5, 0.25))
     angle = k * math.pi / 12 + offset
     target = (radius * math.cos(angle), radius * math.sin(angle))
     got = ik_pool(arm, [target], step)[0]
-    want = _ik_targets_by_scan(arm, target, step)
+    want = _ik_pool_by_scan(arm, target, step)
     assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
 
 
@@ -271,7 +271,7 @@ def test_ik_targets_match_the_pairwise_scan_bit_for_bit(k, offset, radius, step)
     angle=st.floats(-math.pi, math.pi),
     step=st.sampled_from([math.pi, math.pi / 2, math.pi / 4, math.pi / 12, math.pi / 1000]),
 )
-def test_ik_targets_concatenate_the_branches_of_every_orientation(links, reach, angle, step):
+def test_ik_pool_concatenates_the_branches_of_every_orientation(links, reach, angle, step):
     # No pose of one grid orientation lies within DUPLICATE_TOL of a pose of
     # another, so pooling drops nothing beyond each orientation's own branches.
     arm = planar_arm(links)
@@ -320,7 +320,7 @@ def _ik_rows_by_formula(arm, target, step):
     """The closed-form 3R solution in Python floats and ``math``, one orientation at a time.
 
     Returns the pooled rows and the number of elbow-down poses dropped next to their own
-    elbow-up pose. Unlike ``_ik_targets_by_scan`` it never compares poses of two
+    elbow-up pose. Unlike ``_ik_pool_by_scan`` it never compares poses of two
     orientations, so it stays fast on a 2,000-orientation grid.
     """
     l1, l2, l3 = (float(v) for v in arm.planar_links)
@@ -358,7 +358,7 @@ def _resolve_by_scan(task, step):
         elif target.position is not None:
             rows, drops = _ik_rows_by_formula(task.robot, target.position, step)
             if step >= math.pi / 12:  # the pairwise scan is O(m^2): too slow at 4,000 poses
-                scanned = _ik_targets_by_scan(task.robot, target.position, step)
+                scanned = _ik_pool_by_scan(task.robot, target.position, step)
                 assert [q.tobytes() for q in scanned] == [q.tobytes() for q in rows]
             tried += 2 * len(theta_grid(step))
             dropped += drops
