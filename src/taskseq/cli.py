@@ -41,7 +41,6 @@ from .pipeline import (
 )
 from .tsp import (
     SolverKind,
-    TourOrder,
     brute_force_cycle,
     build_task_distance_matrix,
     solve_exact,
@@ -214,20 +213,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _either_way_cost(dm, cycle: TourOrder) -> float:
-    """The smaller of a cycle's two edge sums from its first node, one per direction:
-    the cost that the subset DP and the permutation oracle minimise."""
-    return min(tour_cost(dm, cycle), tour_cost(dm, TourOrder(cycle.order[:1] + cycle.order[:0:-1])))
-
-
 def cmd_oracle(args) -> int:
     task = load_task(args.task)
     config = _config_from_args(args)
 
     if args.what == "tsp":
         dm = build_task_distance_matrix(task, config.include_home_depot)
-        exact_cost = _either_way_cost(dm, solve_exact(dm))
-        oracle_cost = _either_way_cost(dm, brute_force_cycle(dm))
+        exact_cost = tour_cost(dm, solve_exact(dm))
+        oracle_cost = tour_cost(dm, brute_force_cycle(dm))
         match = exact_cost == oracle_cost
     elif args.what == "step2":
         params = MetricParams.from_robot(task.robot)

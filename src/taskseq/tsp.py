@@ -1,4 +1,4 @@
-"""Task-space tour solvers over a symmetric distance matrix.
+"""Task-space tour solvers over a finite square distance matrix.
 
 Three solvers with different cost/quality trade-offs: an exact dynamic
 program (bitmask over visited subsets, practical up to ~20 nodes), a local
@@ -6,9 +6,11 @@ search from one nearest-neighbor tour (2-exchanges and Or-opt segment moves
 over nearest-neighbor lists, then a full 2-exchange check), and a repeated
 nearest-neighbor greedy construction. The exact DP, run over clusters of
 vertices, also finds the pipeline's joint optimum. A brute-force permutation
-oracle backs the exact solver in tests and the verification command. All
-solvers are deterministic; the exact, oracle and nearest-neighbor solvers
-break ties toward the lowest index.
+oracle backs the exact solver in tests and the verification command. Only
+2-opt needs a symmetric matrix. All solvers are deterministic. The exact
+solver and the oracle return a directed cycle from node 0 and break ties
+toward the lowest last node, then the lowest predecessor of each; the
+nearest-neighbor solver breaks them toward the lowest index.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .model import GuardError, Task, index_tuple, ordered_sum
 #: Node-count guard for the exact dynamic program (memory and time grow as 2^n).
 EXACT_GUARD = 20
 
-#: Node-count guard for the permutation oracle ((n-1)!/2 cycles enumerated).
+#: Node-count guard for the permutation oracle ((n-1)! cycles enumerated).
 BRUTE_FORCE_GUARD = 10
 
 #: An exchange must improve the tour by more than this to be applied ...
@@ -85,14 +87,6 @@ def _square_matrix(dm: np.ndarray) -> np.ndarray:
     return dm
 
 
-def _symmetric_matrix(dm: np.ndarray) -> np.ndarray:
-    """A finite square matrix equal to its transpose: the cycle solvers' contract."""
-    dm = _square_matrix(dm)
-    if not np.array_equal(dm, dm.T):
-        raise ValueError("distance matrix must be symmetric")
-    return dm
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> np.ndarray:
     """Euclidean distance matrix over the task's target positions.
@@ -142,15 +136,6 @@ def tour_cost(dm: np.ndarray, tour: TourOrder) -> float:
     return ordered_sum(edges)
 
 
-def _canonical_cycle(order: list) -> TourOrder:
-    """Rotate to start at node 0 and orient so the second node is the smaller neighbor."""
-    start = order.index(0)
-    order = order[start:] + order[:start]
-    if len(order) > 2 and order[1] > order[-1]:
-        order = [order[0]] + order[:0:-1]
-    return TourOrder(tuple(order), TourKind.CLOSED_CYCLE)
-
-
 def _cluster_walk(dm: np.ndarray, cluster) -> tuple[float, list[int]]:
     """Cheapest walk Start -> one vertex of every cluster -> Goal, by a DP over subsets.
 
@@ -184,54 +169,49 @@ def _cluster_walk(dm: np.ndarray, cluster) -> tuple[float, list[int]]:
 def solve_exact(dm: np.ndarray) -> TourOrder:
     """Globally optimal closed cycle via dynamic programming over visited subsets.
 
-    Takes O(n^2 2^n) time and O(n 2^n) memory, hence the size guard. The cycle starts at node
-    0, turned toward its smaller neighbor, which keeps its cost only if ``dm`` is symmetric:
-    ``ValueError`` refuses a ``dm`` that is not finite and symmetric. Where every cycle's
-    sum overflows to inf, the identity order stands.
+    Takes O(n^2 2^n) time and O(n 2^n) memory, hence the size guard. The cycle is the DP's
+    own walk from node 0, so :func:`tour_cost` adds the very sums it minimised; ties go to
+    the lowest last node, then to the lowest predecessor of each. Any finite square ``dm``
+    is taken, symmetric or not; ``ValueError`` refuses any other. Where every cycle's sum
+    overflows to inf, the identity order stands.
     """
-    dm = _symmetric_matrix(dm)
+    dm = _square_matrix(dm)
     n = dm.shape[0]
     if n > EXACT_GUARD:
         raise GuardError(
             f"exact solver guard: n={n} exceeds {EXACT_GUARD} (dynamic program is O(n^2 * 2^n))"
         )
-    if n > 3:
+    if n > 2:
         cost, walk = _cluster_walk(dm, np.arange(n - 1))
         if cost < np.inf:
-            return _canonical_cycle([0] + [v + 1 for v in walk])
+            return TourOrder((0, *(v + 1 for v in walk)))
     return TourOrder(tuple(range(n)), TourKind.CLOSED_CYCLE)
 
 
 def brute_force_cycle(dm: np.ndarray) -> TourOrder:
-    """Exhaustive minimum over all (n-1)!/2 distinct closed cycles.
+    """Exhaustive minimum over all (n-1)! directed closed cycles from node 0.
 
-    Independent oracle for :func:`solve_exact`; like it, it refuses a ``dm`` that is not
-    finite and symmetric. It enumerates permutations with node 0 fixed, skips
-    mirrored orientations and keeps the first strict minimum (ties go to the
-    lexicographically smallest cycle, in the exact solver's canonical orientation). A cycle
-    scores the smaller of its two edge sums from node 0, one per direction, as the DP does.
+    Independent oracle for :func:`solve_exact`; like it, it takes any finite square ``dm``.
+    Each cycle is scored by the one sum :func:`tour_cost` takes, and the first strict
+    minimum is kept. Cycles come in colex order, by last node, then its predecessor, and
+    so on back, so ties go to the lowest last node, then the lowest predecessor. The DP
+    breaks ties alike, save where a dearer prefix rounds to the same total: then the two
+    cycles differ, but never their cost.
     """
-    dm = _symmetric_matrix(dm)
+    dm = _square_matrix(dm)
     n = dm.shape[0]
     if n > BRUTE_FORCE_GUARD:
         raise GuardError(
             f"permutation oracle guard: n={n} exceeds {BRUTE_FORCE_GUARD} "
             f"((n-1)! cycles would be enumerated)"
         )
-    if n <= 3:
-        return TourOrder(tuple(range(n)), TourKind.CLOSED_CYCLE)
     best_cost = np.inf
     best: tuple = tuple(range(n))
     for perm in itertools.permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # mirrored orientation of an already-seen cycle
-        ahead, back = dm[0, perm[0]], dm[0, perm[-1]]  # rounding can set the two apart
-        for a, b, c, d in zip(perm, perm[1:] + (0,), perm[::-1], perm[-2::-1] + (0,)):
-            ahead, back = ahead + dm[a, b], back + dm[c, d]
-        cost = min(ahead, back)
+        cycle = (0,) + perm[::-1]
+        cost = ordered_sum(map(dm.item, cycle, cycle[1:] + (0,)))
         if cost < best_cost:
-            best_cost = cost
-            best = (0,) + perm
+            best_cost, best = cost, cycle
     return TourOrder(best, TourKind.CLOSED_CYCLE)
 
 
@@ -239,7 +219,7 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     """Repeated nearest-neighbor: greedy tours from the first ``restarts`` start nodes.
 
     Each walk appends its nearest unvisited node, the lowest index on ties. The walks
-    share one numpy pick per step; each cycle is priced by :func:`tour_cost`. The
+    share one numpy pick per step; each cycle is priced as :func:`tour_cost` prices it. The
     cheapest cycle wins, earlier starts winning ties. Any finite square ``dm`` is
     taken, symmetric or not. ``ValueError`` refuses any other ``dm``, and ``restarts``
     outside [1, n] or refused by :func:`~taskseq.model.index_tuple` (a bool, 2.0, "2").
@@ -248,17 +228,17 @@ def solve_rnn(dm: np.ndarray, restarts: int) -> TourOrder:
     n, restarts = dm.shape[0], index_tuple((restarts,), "restarts")[0]
     if not 1 <= restarts <= n:
         raise ValueError(f"restarts must be in [1, {n}], got {restarts}")
-    walks = current = np.arange(restarts)
-    visited, steps = np.eye(restarts, n, dtype=bool), [walks]
+    starts = current = np.arange(restarts)
+    visited, steps = np.eye(restarts, n, dtype=bool), [starts]
     for _ in range(1, n):
         rows = dm.take(current, axis=0)
         np.copyto(rows, np.inf, where=visited)
         current = rows.argmin(axis=1)
-        visited[walks, current] = True
+        visited[starts, current] = True
         steps.append(current)
-    orders = np.stack(steps, axis=1).tolist()
-    costs = [tour_cost(dm, TourOrder(order)) for order in orders]
-    return TourOrder(orders[costs.index(min(costs))])
+    walks = np.stack(steps, axis=1)
+    costs = [ordered_sum(e) for e in dm[walks, np.roll(walks, -1, axis=1)].tolist()]
+    return TourOrder(walks[costs.index(min(costs))].tolist())
 
 
 def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
@@ -467,7 +447,9 @@ def solve_2opt(
     ``stats``, when given, receives the TOUR_COUNTERS: 2-exchanges applied
     (by the queue and by the full check), Or-opt moves, and full checks run.
     """
-    dm = _symmetric_matrix(dm)
+    dm = _square_matrix(dm)
+    if not np.array_equal(dm, dm.T):
+        raise ValueError("distance matrix must be symmetric")
     n = dm.shape[0]
     if initial is None:
         initial = solve_rnn(dm, 1)

@@ -93,6 +93,18 @@ def test_pipeline_against_both_oracles():
     assert result.selection.chosen == oracle.chosen
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_the_exact_step1_cost_is_the_minimum_over_every_directed_cycle(n):
+    # Rounding can set a cycle's two directions apart, so step 1 must report the
+    # direction the subset DP summed, not its reverse.
+    config = PipelineConfig(tsp_solver=SolverKind.EXACT, step_size=math.pi / 2)
+    for seed in range(50):
+        task = generate_random_task(n, 1, seed, mode="planar")
+        dm = build_task_distance_matrix(task)
+        best = min(tour_cost(dm, TourOrder((0,) + perm)) for perm in itertools.permutations(range(1, n + 1)))
+        assert solve_sequence(task, config).step1_cost == best, seed
+
+
 def test_explicit_configurations_reach_the_solution_set_without_a_copy():
     task = generate_random_task(4, 5, seed=3, mode="explicit_ik")
     for target, entry in zip(task.targets, resolve_ik_sets(task, COARSE.step_size)):
@@ -640,4 +652,4 @@ def test_explicit_solves_keep_their_bits():
         record = (result.order.order, selection.chosen, tuple(map(float.hex, floats)),
                   sorted(result.counts.items()))
         digest.update(repr(record).encode())
-    assert digest.hexdigest() == "afc6bc8213c7ccc18ac761cb04bc993c7525d12f46626e89e8f48c3d7e9dc78b"
+    assert digest.hexdigest() == "8dce93fb70cb94fe19424c2332245abc628944a1e69d36c8dba4b4d0cd3a5b32"

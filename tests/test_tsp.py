@@ -182,7 +182,7 @@ def test_tour_cost_refuses_a_node_outside_the_matrix(order, message, kind):
 def test_exact_square():
     dm = _euclidean_matrix(SQUARE)
     tour = solve_exact(dm)
-    assert tour.order == (0, 1, 2, 3)  # canonical orientation
+    assert tour.order == (0, 3, 2, 1)  # the DP's own walk: the lowest last node wins the tie
     assert tour_cost(dm, tour) == pytest.approx(4.0)
 
 
@@ -226,23 +226,29 @@ def test_the_cluster_walk_never_counts_a_move_within_a_cluster(data):
     assert len({(cost.hex(), tuple(walk)) for cost, walk in walks}) == 1
 
 
-def _either_way_cost(dm, cycle):
-    """The smaller of a cycle's two edge sums from node 0, one per direction."""
-    return min(tour_cost(dm, cycle), tour_cost(dm, TourOrder(cycle.order[:1] + cycle.order[:0:-1])))
+def _assert_both_reach_the_directed_minimum(dm):
+    """The exact solver's cycle and the oracle's cost the minimum over every directed cycle."""
+    best = min(tour_cost(dm, TourOrder((0,) + perm)) for perm in itertools.permutations(range(1, len(dm))))
+    assert tour_cost(dm, solve_exact(dm)) == tour_cost(dm, brute_force_cycle(dm)) == best
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(4, 8).flatmap(lambda n: st.lists(st.integers(0, 9), min_size=n * (n - 1) // 2,
+@given(st.integers(3, 8).flatmap(lambda n: st.lists(st.integers(0, 9), min_size=n * (n - 1) // 2,
                                                     max_size=n * (n - 1) // 2)))
 @example([2, 1, 3, 3, 3, 4])  # the cycle 0-2-1-3 sums to 1.0, and to 0.9999999999999999 reversed
 def test_exact_matches_the_permutation_oracle_when_sums_round(upper):
     # Entries k/10 round as they add, so a cycle's two directions can sum to two
-    # floats; the subset DP minimises the smaller, and so must the oracle.
+    # floats; both solvers return the direction whose sum is the minimum.
     n = (1 + math.isqrt(1 + 8 * len(upper))) // 2
     dm = np.zeros((n, n))
     dm[np.triu_indices(n, 1)] = np.array(upper) / 10
-    dm = dm + dm.T
-    assert _either_way_cost(dm, solve_exact(dm)) == _either_way_cost(dm, brute_force_cycle(dm))
+    _assert_both_reach_the_directed_minimum(dm + dm.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1))
+def test_exact_matches_the_permutation_oracle_on_one_sided_matrices(n, seed):
+    _assert_both_reach_the_directed_minimum(np.random.default_rng(seed).uniform(0.0, 1.0, (n, n)))
 
 
 def test_exact_cost_is_label_equivariant():
@@ -338,11 +344,10 @@ def test_2opt_refuses_a_matrix_that_is_not_symmetric(change, refusal):
         solve_2opt(_one_sided(change))
 
 
-@pytest.mark.parametrize("solver", [solve_exact, brute_force_cycle], ids=["exact", "oracle"])
-def test_the_exact_solver_and_its_oracle_refuse_a_matrix_that_is_not_symmetric(solver):
-    # On such a matrix, turning a cycle or skipping its mirror image changes its cost.
-    with pytest.raises(ValueError, match="distance matrix must be symmetric"):
-        solver(_one_sided(lambda d: d / 2))
+def test_the_exact_solver_and_its_oracle_reach_the_directed_optimum_of_one_sided_matrices():
+    # A cycle and its reverse cost differently here, so neither solver may turn the cycle it summed.
+    for seed in range(200):
+        _assert_both_reach_the_directed_minimum(np.random.default_rng(seed).uniform(0.0, 1.0, (6, 6)))
 
 
 _TOUR_FUNCTIONS = {
