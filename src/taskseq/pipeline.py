@@ -162,7 +162,7 @@ def _tour(dm: np.ndarray, config: PipelineConfig, work: dict) -> tuple[TourOrder
     if config.tsp_solver is SolverKind.EXACT:
         cycle = tsp.solve_exact(dm)
     elif config.tsp_solver is SolverKind.TWO_OPT:
-        cycle = tsp.solve_2opt(dm, tsp.solve_rnn(dm, 1), stats=work)
+        cycle = tsp.solve_2opt(dm, stats=work)
     else:
         cycle = tsp.solve_rnn(dm, min(config.rnn_restarts, dm.shape[0]))
     if config.include_home_depot:

@@ -2,14 +2,16 @@
 
 Three solvers with different cost/quality trade-offs: an exact dynamic
 program (bitmask over visited subsets, practical up to ~20 nodes), a local
-search from one nearest-neighbor tour (2-exchanges and Or-opt segment moves
-over nearest-neighbor lists, then a full 2-exchange check), and a repeated
-nearest-neighbor greedy construction. The exact DP, run over clusters of
-vertices, also finds the pipeline's joint optimum. A brute-force permutation
-oracle backs the exact solver in tests and the verification command. Only
-2-opt needs a symmetric matrix. All solvers are deterministic. The exact
-solver and the oracle return a directed cycle from node 0 and break ties
-toward the lowest last node, then the lowest predecessor of each; the
+search (2-exchanges and Or-opt segment moves over nearest-neighbor lists, then
+a full 2-exchange check), and a repeated nearest-neighbor greedy construction.
+The local search starts by default from the one-start nearest-neighbor tour,
+walked over its own neighbor lists with a full-row scan where a list cannot
+decide: the greedy construction's tour from node 0. The exact DP, run over
+clusters of vertices, also finds the pipeline's joint optimum. A brute-force
+permutation oracle backs the exact solver in tests and the verification
+command. Only 2-opt needs a symmetric matrix. All solvers are deterministic.
+The exact solver and the oracle return a directed cycle from node 0 and break
+ties toward the lowest last node, then the lowest predecessor of each; the
 nearest-neighbor solver breaks them toward the lowest index.
 """
 
@@ -94,8 +96,9 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
     With ``include_home_depot`` an extra node (index n) anchors the tour at
     the robot's rest point: the end-effector position of the home
     configuration for the planar arm, or the centroid of the targets when
-    configurations are explicit. Raises ``ValueError`` when a distance is not
-    finite (positions so far apart that it overflows).
+    configurations are explicit. Rows are computed ROW_BLOCK at a time under
+    the ``metrics._PRICING_BUFFER`` ufunc buffer. Raises ``ValueError`` when a
+    distance is not finite (positions so far apart that it overflows).
     """
     positions = []
     for target in task.targets:
@@ -112,10 +115,15 @@ def build_task_distance_matrix(task: Task, include_home_depot: bool = True) -> n
         points = np.vstack([points, depot])
     (x, y), n = points.T, len(points)
     dm, scratch = np.empty((n, n)), np.empty((min(ROW_BLOCK, n), n))
-    for start in range(0, n, ROW_BLOCK):  # np.linalg.norm's sum of squares, band by band
-        dx = np.subtract.outer(x[start:start + ROW_BLOCK], x, out=dm[start:start + ROW_BLOCK])
-        dy = np.subtract.outer(y[start:start + ROW_BLOCK], y, out=scratch[:len(dx)])
-        np.sqrt(np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx), out=dx)
+    from .metrics import _PRICING_BUFFER  # its binding at call time, as pairwise_cost reads it
+    saved = np.setbufsize(_PRICING_BUFFER)
+    try:
+        for start in range(0, n, ROW_BLOCK):  # np.linalg.norm's sum of squares, band by band
+            dx = np.subtract.outer(x[start:start + ROW_BLOCK], x, out=dm[start:start + ROW_BLOCK])
+            dy = np.subtract.outer(y[start:start + ROW_BLOCK], y, out=scratch[:len(dx)])
+            np.sqrt(np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx), out=dx)
+    finally:
+        np.setbufsize(saved)
     if not np.all(np.isfinite(dm)):
         raise ValueError("target distances overflow: positions are too far apart")
     return dm
@@ -260,6 +268,38 @@ def _neighbor_lists(dm: np.ndarray, k: int) -> tuple[list, list]:
     return neighbors.tolist(), dm[np.arange(n)[:, None], neighbors].tolist()
 
 
+def _nearest_neighbor_walk(dm: np.ndarray, neighbors: list, near: list) -> list:
+    """``solve_rnn(dm, 1)``'s tour, walked over the lists of :func:`_neighbor_lists`.
+
+    A step takes the first unvisited node of the current node's list. Nearer than
+    the list's last entry, it and every other node at its distance are in the
+    list, next to it, and the lowest unvisited index of them wins. Otherwise the
+    row, visited nodes at inf, picks by ``argmin``, as :func:`solve_rnn` does.
+    """
+    visited = bytearray(dm.shape[0])
+    mask = np.frombuffer(visited, dtype=bool)  # a view: the row scan sees every visit
+    order = [0]
+    visited[0] = True
+    for _ in range(1, len(visited)):
+        ids, dists = neighbors[order[-1]], near[order[-1]]
+        for i, nxt in enumerate(ids):
+            if not visited[nxt]:
+                break
+        else:
+            i = -1  # all visited: the last distance, so the row decides
+        if dists[i] < dists[-1]:
+            for v, d in zip(ids[i + 1:], dists[i + 1:]):
+                if d != dists[i]:
+                    break
+                if v < nxt and not visited[v]:
+                    nxt = v
+        else:
+            nxt = int(np.where(mask, np.inf, dm[order[-1]]).argmin())
+        visited[nxt] = True
+        order.append(nxt)
+    return order
+
+
 class _LocalSearch:
     """Neighbor-list 2-opt and Or-opt on a cycle held as plain Python lists.
 
@@ -267,16 +307,19 @@ class _LocalSearch:
     one 1-D memoryview per row: ``dist[i][j]`` reads in half the time of a 2-D view's
     ``[i, j]``, and ``dm.tolist()`` would build n^2 Python floats. A node popped from
     ``queue`` tries an Or-opt move and then a 2-exchange; a move puts every node
-    whose edges it changed back on the queue (don't-look bits).
+    whose edges it changed back on the queue (don't-look bits). With no ``order``,
+    the cycle starts as the nearest-neighbor walk over the neighbor lists.
     """
 
     def __init__(self, dm: np.ndarray, order, work: dict, tol: float):
         self.dist = [memoryview(row) for row in np.ascontiguousarray(dm)]
         self.tol = tol
-        self.n = len(order)
+        self.n = dm.shape[0]
+        self.neighbors, self.near = _neighbor_lists(dm, min(NEIGHBORS, self.n - 1))
+        if order is None:
+            order = _nearest_neighbor_walk(dm, self.neighbors, self.near)
         self.node = list(order)
         self.pos = np.argsort(self.node).tolist()
-        self.neighbors, self.near = _neighbor_lists(dm, min(NEIGHBORS, self.n - 1))
         self.nearest = [near[0] for near in self.near]  # no scan opens unless this is nearer
         self.queue = deque()
         self.active = [False] * self.n
@@ -432,7 +475,9 @@ def solve_2opt(
 ) -> TourOrder:
     """2-exchange and Or-opt local search on a closed cycle.
 
-    Starts from ``initial`` (default: the nearest-neighbor tour from node 0).
+    Starts from ``initial``. The default is the one-start nearest-neighbor tour
+    from node 0, the same tour as ``solve_rnn(dm, 1)``: it is walked over the
+    NEIGHBORS-nearest lists, with a full-row scan where a list cannot decide.
     A queue of active nodes (don't-look bits) drives the search: each node
     tries Or-opt moves of a segment of 1-3 nodes that starts or ends at it,
     then 2-exchanges that join it to one of its NEIGHBORS nearest nodes; a
@@ -451,12 +496,12 @@ def solve_2opt(
     if not np.array_equal(dm, dm.T):
         raise ValueError("distance matrix must be symmetric")
     n = dm.shape[0]
-    if initial is None:
+    if initial is None and n < 4:
         initial = solve_rnn(dm, 1)
-    if sorted(initial.order) != list(range(n)):
+    if initial is not None and sorted(initial.order) != list(range(n)):
         raise ValueError("initial tour must be a permutation of all nodes")
     work = dict.fromkeys(TOUR_COUNTERS, 0)
-    order = list(initial.order)
+    order = None if initial is None else initial.order
     if n >= 4:
         longest = float(np.max(dm))
         tol = max(IMPROVEMENT_EPS, ROUNDING_SLACK * longest)

@@ -31,6 +31,7 @@ from taskseq.pipeline import (
     GTSP_GUARD_MOVES,
     PipelineConfig,
     _benchmark_variants,
+    _tour,
     baseline_cspace_tsp,
     baseline_gtsp_exact,
     benchmark_run,
@@ -254,16 +255,21 @@ def test_every_method_refuses_a_task_without_targets(runner, depot):
         runner(task, PipelineConfig(include_home_depot=depot))
 
 
-def test_the_pipeline_seeds_2opt_with_one_nearest_neighbour_tour(monkeypatch):
-    calls, solve_rnn = [], tsp.solve_rnn
-
-    def spy(dm, restarts):
-        calls.append((sys._getframe(1).f_globals["__name__"], restarts))
-        return solve_rnn(dm, restarts)
-
-    monkeypatch.setattr(tsp, "solve_rnn", spy)
-    solve_sequence(generate_random_task(12, 1, seed=3, mode="planar"), COARSE)
-    assert calls == [("taskseq.pipeline", 1)]
+def test_the_pipeline_seeds_2opt_by_its_own_walk_not_by_solve_rnn(monkeypatch):
+    # 2-opt walks the one-start nearest-neighbour tour over its neighbour lists.
+    task = generate_random_task(40, 1, seed=3, mode="planar")
+    dm = tsp.build_task_distance_matrix(task)
+    want_stats = {}
+    want = tsp.solve_2opt(dm, tsp.solve_rnn(dm, 1), stats=want_stats)
+    calls = []
+    monkeypatch.setattr(tsp, "solve_rnn", lambda *args: calls.append(args))
+    work = dict.fromkeys(tsp.TOUR_COUNTERS, 0)
+    assert _tour(dm, COARSE, work)[0] == want
+    assert work == want_stats
+    result = solve_sequence(task, COARSE)
+    assert calls == []
+    assert result.order == tsp.open_order_from_cycle(want, depot=task.n)
+    assert {c: result.counts[c] for c in tsp.TOUR_COUNTERS} == want_stats
 
 
 @pytest.mark.parametrize("runner", [solve_sequence, baseline_cspace_tsp, baseline_gtsp_exact])

@@ -536,6 +536,34 @@ def test_2opt_from_the_one_start_nearest_neighbour_tour_is_its_default(name):
     assert seeded == default
 
 
+def _list_walk(dm):
+    neighbors, near = tsp._neighbor_lists(dm, min(tsp.NEIGHBORS, len(dm) - 1))
+    return tsp._nearest_neighbor_walk(dm, neighbors, near), near
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_the_neighbour_list_walk_is_the_one_start_nearest_neighbour_tour(data):
+    # Integer-grid points repeat points and distances; up to n = 17 every list holds all others.
+    n = data.draw(st.integers(4, 80), label="n")
+    side = data.draw(st.integers(1, 12), label="side")
+    points = data.draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
+                                min_size=n, max_size=n), label="points")
+    dm = _euclidean_matrix(points)
+    assert _list_walk(dm)[0] == list(solve_rnn(dm, 1).order)
+
+
+@pytest.mark.parametrize("name", ["duplicates", "tour-large-1"])
+def test_the_neighbour_list_walk_falls_back_to_the_row_where_a_list_cannot_decide(name):
+    dm = _PINNED_CASES[name]()[0]
+    order, near = _list_walk(dm)
+    assert order == list(solve_rnn(dm, 1).order)
+    # The row scan decided each step whose distance reaches its list's last one:
+    # here both a tie with the last entry and a step past the list.
+    steps = [(dm[a, b], near[a][-1]) for a, b in zip(order, order[1:])]
+    assert any(d == last for d, last in steps) and any(d > last for d, last in steps)
+
+
 def test_rnn_on_a_line():
     dm = _line_matrix([0.0, 1.0, 3.0, 7.0])
     tour = solve_rnn(dm, 1)
